@@ -15,16 +15,14 @@ from __future__ import annotations
 import io
 import json
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from . import root_data
-from .root_data import LieType, build_root_datum
-from .weights import as_weight, dim_from_pairings, weyl_dimension
+from .root_data import LieType, RootDatum, build_root_datum, coroot_columns
+from .weights import as_weight, dim_from_pairings, indicator, weyl_dimension
 
 __all__ = [
     "IrrepCandidate",
@@ -56,6 +54,25 @@ class IrrepCandidate:
     epsilon: int
     min_char: int
 
+    @classmethod
+    def of(cls, datum: RootDatum, weight: tuple[int, ...], dim: int,
+           matching_ells: Iterable[int] = ()) -> "IrrepCandidate":
+        """The candidate L(weight) of datum's type with the given dimension.
+
+        matching_ells are the characteristics of ingested exceptions for this
+        weight; they can only raise min_char.
+        """
+        fs = indicator(datum, weight)
+        return cls(
+            type_id=datum.type_id,
+            weight=weight,
+            dim=dim,
+            self_dual=fs != 0,
+            fs=fs,
+            epsilon=datum.epsilon,
+            min_char=_min_char(weight, matching_ells),
+        )
+
 
 @dataclass(frozen=True)
 class ExceptionRecord:
@@ -68,67 +85,17 @@ class ExceptionRecord:
     corrected_dim: int
 
 
-@dataclass(frozen=True)
-class _ScanData:
-    two_rho: tuple[int, ...]
-    fund_log: np.ndarray  # log of the fundamental-weight dimensions
-    epsilon: int
-    perm: tuple[int, ...]
-
-
-_scan_cache: dict[LieType, _ScanData] = {}
-_scan_lock = threading.Lock()
-
-
-def _type_rows(type_id: LieType):
-    """Family-table rows/columns realizing this type, in canonical order."""
-    tab = root_data._family_table(type_id.family, type_id.rank)
-    lo, hi = root_data._window(type_id.family, type_id.rank, tab.top)
-    rows = np.nonzero(root_data._window_rows(tab, lo, hi))[0]
-    return tab, rows, lo, hi
-
-
-def _scan_data(type_id: LieType) -> _ScanData:
-    with _scan_lock:
-        cached = _scan_cache.get(type_id)
-    if cached is not None:
-        return cached
-    tab, rows, lo, hi = _type_rows(type_id)
-    sub = tab.matrix[rows]
-    heights = tab.heights[rows].astype(np.float64)
-    m = type_id.rank
-    fund_log = np.empty(m, dtype=np.float64)
-    for j in range(m):
-        col = sub[:, lo + j]
-        nz = np.nonzero(col)[0]
-        fund_log[j] = float(np.log1p(col[nz] / heights[nz]).sum())
-    two_rho = tuple(int(v) for v in sub[:, lo:hi].sum(axis=0, dtype=np.int64))
-    data = _ScanData(
-        two_rho=two_rho,
-        fund_log=fund_log,
-        epsilon=root_data._epsilon(type_id),
-        perm=root_data.diagram_automorphism(type_id),
-    )
-    with _scan_lock:
-        _scan_cache[type_id] = data
-    return data
-
-
-def _search_weights(type_id: LieType, bound: int) -> list[tuple[tuple[int, ...], int]]:
+def _search_weights(datum: RootDatum, bound: int) -> list[tuple[tuple[int, ...], int]]:
     """All dominant weights with dimension <= bound, with exact dimensions."""
-    sd = _scan_data(type_id)
-    m = type_id.rank
+    m = datum.rank
     log_bound = math.log(bound)
-    maybe = np.nonzero(sd.fund_log <= log_bound + _LOG_SLACK)[0]
+    maybe = np.nonzero(datum.fund_log <= log_bound + _LOG_SLACK)[0]
     zero = (0,) * m
     if maybe.size == 0:
         return [(zero, 1)]
 
-    tab, rows, lo, hi = _type_rows(type_id)
-    cols = maybe + lo
-    meet = rows[np.nonzero((tab.matrix[np.ix_(rows, cols)] != 0).any(axis=1))[0]]
-    sub = tab.matrix[np.ix_(meet, cols)].astype(np.int64)  # R x a
-    heights = tab.heights[meet]
+    sub, heights = coroot_columns(datum.type_id, maybe)
+    sub = sub.astype(np.int64)  # R x a
 
     def exact_dim(pair: np.ndarray) -> int:
         return dim_from_pairings(heights, pair)
@@ -185,30 +152,16 @@ def enumerate_restricted(
     """
     if dim_bound < 1:
         raise ValueError(f"dimension bound must be >= 1, got {dim_bound}")
-    sd = _scan_data(type_id)
+    datum = build_root_datum(type_id)
     exc_by_weight: dict[tuple[int, ...], list[int]] = {}
     for rec in exceptions:
         if rec.type_id == type_id and rec.corrected_dim < _generic_dim(rec):
             exc_by_weight.setdefault(rec.weight, []).append(rec.ell)
 
-    out = []
-    for weight, dim in _search_weights(type_id, dim_bound):
-        sdual = tuple(weight[sd.perm[i]] for i in range(type_id.rank)) == weight
-        fs = 0
-        if sdual:
-            parity = sum(c * a for c, a in zip(sd.two_rho, weight)) % 2
-            fs = -1 if parity else 1
-        out.append(
-            IrrepCandidate(
-                type_id=type_id,
-                weight=weight,
-                dim=dim,
-                self_dual=sdual,
-                fs=fs,
-                epsilon=sd.epsilon,
-                min_char=_min_char(weight, exc_by_weight.get(weight, ())),
-            )
-        )
+    out = [
+        IrrepCandidate.of(datum, weight, dim, exc_by_weight.get(weight, ()))
+        for weight, dim in _search_weights(datum, dim_bound)
+    ]
     out.sort(key=lambda c: (c.dim, c.weight))
     return out
 

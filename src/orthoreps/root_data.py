@@ -19,6 +19,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "LieType",
     "RootDatum",
     "build_root_datum",
+    "coroot_columns",
     "diagram_automorphism",
     "positive_coroot_count",
     "prewarm_family",
@@ -78,21 +80,40 @@ class LieType:
 class RootDatum:
     """Immutable root-system data for one simple Lie type.
 
+    This is the package's one per-type record, and build_root_datum its one
+    per-type cache, so it holds only rank-sized data.  The coroots stay in
+    the family table, which prewarm_family may replace by a larger one, so
+    positive_coroots and rho_pairings are read from the current table (and
+    cartan is rebuilt) on each access, as read-only arrays.
+
     positive_coroots holds one coroot per row, written in the simple-coroot
     basis, so ``row[i] == <omega_i, coroot>``.  rho_pairings[r] is the
     height ``<rho, coroot_r>`` and two_rho_check is the coordinate-wise sum
-    of all positive coroots, i.e. ``<omega_i, 2 rho^vee>``.
+    of all positive coroots, i.e. ``<omega_i, 2 rho^vee>``.  fund_log[i] is
+    the natural log of the dimension of the fundamental module omega_i.
     """
 
     type_id: LieType
     rank: int
-    cartan: np.ndarray
-    positive_coroots: np.ndarray
-    rho_pairings: np.ndarray
-    two_rho_check: np.ndarray
+    two_rho_check: tuple[int, ...]
+    fund_log: np.ndarray
     dynkin_symmetry: tuple[int, ...]
     epsilon: int
     has_triality: bool
+
+    @property
+    def positive_coroots(self) -> np.ndarray:
+        return coroot_columns(self.type_id)[0]
+
+    @property
+    def rho_pairings(self) -> np.ndarray:
+        return coroot_columns(self.type_id)[1]
+
+    @property
+    def cartan(self) -> np.ndarray:
+        cartan = _cartan_matrix(self.type_id.family, self.rank)
+        cartan.flags.writeable = False
+        return cartan
 
 
 def positive_coroot_count(type_id: LieType) -> int:
@@ -260,60 +281,75 @@ def _window(family: str, rank: int, top: int) -> tuple[int, int]:
     return 0, rank
 
 
-def _window_rows(tab: _FamilyTable, lo: int, hi: int) -> np.ndarray:
-    return (tab.sup_min >= lo) & (tab.sup_max < hi)
+def coroot_columns(
+    type_id: LieType, cols: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairings and heights of the type's positive coroots, as read-only arrays.
+
+    Read from the current family table.  With cols given, only the coroots
+    that pair nonzero with some omega_j (j in cols) are kept, and only those
+    columns; by default all coroots and all columns.  Rows keep the table's
+    (height, lex) order.
+    """
+    tab = _family_table(type_id.family, type_id.rank)
+    lo, hi = _window(type_id.family, type_id.rank, tab.top)
+    rows = np.nonzero((tab.sup_min >= lo) & (tab.sup_max < hi))[0]
+    if cols is None:
+        sub = tab.matrix[rows, lo:hi]
+    else:
+        sub = tab.matrix[np.ix_(rows, np.asarray(cols, dtype=np.intp) + lo)]
+        meet = (sub != 0).any(axis=1)
+        sub, rows = sub[meet], rows[meet]
+    heights = tab.heights[rows]
+    sub.flags.writeable = heights.flags.writeable = False
+    return sub, heights
 
 
-def _validate(datum: RootDatum) -> None:
-    n_expected = positive_coroot_count(datum.type_id)
-    n = datum.positive_coroots.shape[0]
+def _validate(type_id: LieType, coroots: np.ndarray, heights: np.ndarray,
+              perm: tuple[int, ...]) -> None:
+    n_expected = positive_coroot_count(type_id)
+    n = coroots.shape[0]
     if n != n_expected:
-        raise AssertionError(
-            f"{datum.type_id}: generated {n} positive coroots, expected {n_expected}"
-        )
-    simple = datum.rho_pairings == 1
-    if int(simple.sum()) != datum.rank or not bool(
-        (datum.positive_coroots[simple].sum(axis=0) == 1).all()
-    ):
-        raise AssertionError(f"{datum.type_id}: simple coroot block is malformed")
-    if datum.rho_pairings.min() < 1:
-        raise AssertionError(f"{datum.type_id}: nonpositive height in coroot table")
-    perm = list(datum.dynkin_symmetry)
-    if [perm[p] for p in perm] != list(range(datum.rank)):
-        raise AssertionError(f"{datum.type_id}: diagram symmetry is not an involution")
-    sym = datum.cartan[np.ix_(perm, perm)]
-    if not bool((sym == datum.cartan).all()):
-        raise AssertionError(f"{datum.type_id}: Cartan matrix not fixed by the symmetry")
+        raise AssertionError(f"{type_id}: generated {n} positive coroots, expected {n_expected}")
+    simple = heights == 1
+    if int(simple.sum()) != type_id.rank or not bool((coroots[simple].sum(axis=0) == 1).all()):
+        raise AssertionError(f"{type_id}: simple coroot block is malformed")
+    if heights.min() < 1:
+        raise AssertionError(f"{type_id}: nonpositive height in coroot table")
+    if [perm[p] for p in perm] != list(range(type_id.rank)):
+        raise AssertionError(f"{type_id}: diagram symmetry is not an involution")
+    cartan = _cartan_matrix(type_id.family, type_id.rank)
+    if not bool((cartan[np.ix_(perm, perm)] == cartan).all()):
+        raise AssertionError(f"{type_id}: Cartan matrix not fixed by the symmetry")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def build_root_datum(type_id: LieType) -> RootDatum:
-    """Construct (and verify) the full root datum of one simple type."""
+    """Construct (and verify) the root datum of one simple type, cached per type."""
     fam, m = type_id.family, type_id.rank
-    tab = _family_table(fam, m)
-    lo, hi = _window(fam, m, tab.top)
-    rows = _window_rows(tab, lo, hi)
-    coroots = tab.matrix[rows][:, lo:hi].copy()
-    heights = tab.heights[rows].copy()
-    datum = RootDatum(
+    coroots, heights = coroot_columns(type_id)
+    perm = diagram_automorphism(type_id)
+    _validate(type_id, coroots, heights, perm)
+    heights_f = heights.astype(np.float64)
+    fund_log = np.empty(m, dtype=np.float64)
+    for j in range(m):
+        col = coroots[:, j]
+        nz = np.nonzero(col)[0]
+        fund_log[j] = float(np.log1p(col[nz] / heights_f[nz]).sum())
+    fund_log.flags.writeable = False
+    return RootDatum(
         type_id=type_id,
         rank=m,
-        cartan=_cartan_matrix(fam, m),
-        positive_coroots=coroots,
-        rho_pairings=heights,
-        two_rho_check=coroots.sum(axis=0, dtype=np.int64),
-        dynkin_symmetry=diagram_automorphism(type_id),
+        two_rho_check=tuple(int(v) for v in coroots.sum(axis=0, dtype=np.int64)),
+        fund_log=fund_log,
+        dynkin_symmetry=perm,
         epsilon=_epsilon(type_id),
         has_triality=(fam == "D" and m == 4),
     )
-    _validate(datum)
-    for arr in (datum.cartan, datum.positive_coroots, datum.rho_pairings, datum.two_rho_check):
-        arr.flags.writeable = False
-    return datum
 
 
 def _clear_caches() -> None:
-    """Test hook: drop all cached tables and data."""
+    """Test hook: drop the family tables and the per-type cache."""
     with _tables_lock:
         _tables.clear()
     build_root_datum.cache_clear()

@@ -17,19 +17,20 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterable, Sequence
 
-from . import irreps, root_data
+from . import root_data
 from .arith import is_prime
 from .irreps import (
+    GENERIC_CHAR_FLOOR,
     ExceptionRecord,
     IrrepCandidate,
     candidate_json,
     default_scan_types,
     enumerate_restricted,
 )
-from .root_data import LieType
+from .root_data import LieType, build_root_datum
 
 __all__ = [
     "MODE_ORBIT",
@@ -170,7 +171,7 @@ def _assemble(
         total = 1
         for d, r in counts.items():
             k = len(by_dim[d])
-            total *= _multichoose(k, r)
+            total *= comb(k + r - 1, r)
         if mode == MODE_ORBIT:
             if len(set(fact)) == 1:
                 d = fact[0]
@@ -194,10 +195,15 @@ def _assemble(
     return products, events
 
 
-def _multichoose(k: int, r: int) -> int:
-    from math import comb
-
-    return comb(k + r - 1, r)
+def _factors_by_dim(
+    type_id: LieType, n: int, exceptions: Sequence[ExceptionRecord]
+) -> dict[int, list[IrrepCandidate]]:
+    """Nontrivial restricted modules of dimension <= n, grouped by dimension."""
+    by_dim: dict[int, list[IrrepCandidate]] = {}
+    for c in enumerate_restricted(type_id, n, exceptions):
+        if any(c.weight):
+            by_dim.setdefault(c.dim, []).append(c)
+    return by_dim
 
 
 def steinberg_products(
@@ -210,11 +216,7 @@ def steinberg_products(
     _check_mode(mode)
     if n < 2:
         raise ValueError(f"target dimension must be >= 2, got {n}")
-    cands = enumerate_restricted(type_id, n, exceptions)
-    by_dim: dict[int, list[IrrepCandidate]] = {}
-    for c in cands:
-        if any(c.weight):
-            by_dim.setdefault(c.dim, []).append(c)
+    by_dim = _factors_by_dim(type_id, n, exceptions)
     products, _ = _assemble(type_id, factorizations(n), by_dim, mode)
     products.sort(key=_product_sort_key)
     return products
@@ -241,11 +243,7 @@ def _scan_one_type(
     min_char: int,
     exceptions: Sequence[ExceptionRecord],
 ):
-    cands = enumerate_restricted(type_id, n, exceptions)
-    by_dim: dict[int, list[IrrepCandidate]] = {}
-    for c in cands:
-        if any(c.weight):
-            by_dim.setdefault(c.dim, []).append(c)
+    by_dim = _factors_by_dim(type_id, n, exceptions)
     products, events = _assemble(type_id, facts, by_dim, mode)
 
     kept: list[TensorCandidate] = []
@@ -271,19 +269,9 @@ def _scan_one_type(
     for rec in exceptions:
         if rec.type_id != type_id or rec.corrected_dim != n:
             continue
-        scan = irreps._scan_data(type_id)
-        if tuple(rec.weight[scan.perm[i]] for i in range(type_id.rank)) != rec.weight:
+        factor = IrrepCandidate.of(build_root_datum(type_id), rec.weight, rec.corrected_dim)
+        if not factor.self_dual:
             continue
-        parity = sum(c * a for c, a in zip(scan.two_rho, rec.weight)) % 2
-        factor = IrrepCandidate(
-            type_id=type_id,
-            weight=rec.weight,
-            dim=rec.corrected_dim,
-            self_dual=True,
-            fs=-1 if parity else 1,
-            epsilon=scan.epsilon,
-            min_char=max(20, 1 + max(rec.weight, default=0)),
-        )
         kept.append(_tensor(type_id, (factor,), mode, non_generic_ell=rec.ell))
     return kept, events, non_self_dual
 
@@ -315,19 +303,21 @@ def classify_orthogonal(
     """Classify all orthogonal/symplectic tensor candidates of dimension n.
 
     min_char fixes the characteristic regime the report is valid for
-    (dimensions are generic there); it defaults to max(20, n + 1) and must
-    be at least 20.  The scan covers every type whose natural module fits
-    in dimension n, assembles tensor candidates per factorization of n,
-    drops non-self-dual products, and splits the rest by indicator.  Every
-    dropped branch is recorded in the exclusion notes.
+    (dimensions are generic there); it defaults to max(GENERIC_CHAR_FLOOR,
+    n + 1) and must be at least GENERIC_CHAR_FLOOR.  The scan covers every
+    type whose natural module fits in dimension n, assembles tensor
+    candidates per factorization of n, drops non-self-dual products, and
+    splits the rest by indicator.  Every dropped branch is recorded in the
+    exclusion notes.
     """
     if n < 2 or n % 2:
         raise ValueError(f"target dimension must be even and >= 2, got {n}")
     _check_mode(mode)
     if min_char is None:
-        min_char = max(20, n + 1)
-    if min_char < 20:
-        raise ValueError(f"min_char must be at least 20 (generic regime), got {min_char}")
+        min_char = max(GENERIC_CHAR_FLOOR, n + 1)
+    if min_char < GENERIC_CHAR_FLOOR:
+        raise ValueError(f"min_char must be at least {GENERIC_CHAR_FLOOR} (generic regime), "
+                         f"got {min_char}")
 
     facts = factorizations(n)
     types = default_scan_types(n)

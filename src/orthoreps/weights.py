@@ -20,6 +20,7 @@ __all__ = [
     "is_q_restricted",
     "minus_w0",
     "is_self_dual",
+    "indicator",
     "fs_indicator",
 ]
 
@@ -124,11 +125,14 @@ def is_q_restricted(weight: Sequence[int], q: int) -> bool:
     return all(0 <= int(a) <= q - 1 for a in weight)
 
 
+def _dual(perm: Sequence[int], weight: Weight) -> Weight:
+    return tuple(weight[p] for p in perm)
+
+
 def minus_w0(type_id: LieType, weight: Sequence[int]) -> Weight:
     """Highest weight of the dual module: the diagram symmetry applied to lambda."""
     w = as_weight(weight, type_id.rank)
-    perm = diagram_automorphism(type_id)
-    return tuple(w[perm[i]] for i in range(type_id.rank))
+    return _dual(diagram_automorphism(type_id), w)
 
 
 def is_self_dual(type_id: LieType, weight: Sequence[int]) -> bool:
@@ -136,17 +140,30 @@ def is_self_dual(type_id: LieType, weight: Sequence[int]) -> bool:
     return minus_w0(type_id, w) == w
 
 
+def indicator(datum: RootDatum, weight: Weight) -> int:
+    """Frobenius-Schur indicator: +1 orthogonal, -1 symplectic, 0 not self-dual.
+
+    The module is self-dual iff -w0 fixes lambda; its indicator is then the
+    sign (-1)^<lambda, 2 rho^vee>.  The weight is not validated: pass a
+    tuple already checked by as_weight against datum's rank.
+    """
+    if _dual(datum.dynkin_symmetry, weight) != weight:
+        return 0
+    parity = sum(c * a for c, a in zip(datum.two_rho_check, weight)) % 2
+    return -1 if parity else 1
+
+
 def fs_indicator(datum: RootDatum, weight: Sequence[int]) -> int:
     """Frobenius-Schur indicator of a self-dual module: +1 orthogonal, -1 symplectic.
 
-    Decided by the parity of <lambda, 2 rho^vee>; callers must gate on
-    is_self_dual first (the indicator-0 case is rejected here).
+    Callers must gate on is_self_dual first (the indicator-0 case is
+    rejected here); see indicator for the rule.
     """
     w = as_weight(weight, datum.rank)
-    if not is_self_dual(datum.type_id, w):
+    fs = indicator(datum, w)
+    if not fs:
         raise ValueError(
             f"{datum.type_id} weight {w} is not self-dual; the indicator is defined "
             "only for self-dual modules"
         )
-    parity = sum(int(c) * int(a) for c, a in zip(datum.two_rho_check, w)) % 2
-    return -1 if parity else 1
+    return fs

@@ -1,0 +1,59 @@
+"""Module boundaries: no package module reaches into another one's private names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orthoreps"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """Name of the package module a `from ... import` reads from, or "" for the package."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "orthoreps":
+        return node.module.partition(".")[2]
+    return None
+
+
+def private_reaches(source: str, own: str) -> list[str]:
+    """`from .x import _y` and `x._y` uses in one module's source, for x another module."""
+    tree = ast.parse(source)
+    aliases: dict[str, str] = {}  # local name -> package module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _package_module(node) == "":
+            aliases.update((a.asname or a.name, a.name) for a in node.names if a.name in MODULES)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname and a.name.startswith("orthoreps."):
+                    aliases[a.asname] = a.name.partition(".")[2]
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = _package_module(node)
+            if mod is None or mod == own:
+                continue
+            hits += [f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import "
+                     f"{a.name}" for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and aliases.get(node.value.id, own) != own
+              and node.attr.startswith("_") and not node.attr.startswith("__")):
+            hits.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return hits
+
+
+def test_detector_catches_both_forms():
+    src = "from . import root_data\nfrom .irreps import _scan_data\nroot_data._window(1)\n"
+    assert private_reaches(src, "steinberg") == [
+        "line 2: from .irreps import _scan_data",
+        "line 3: root_data._window",
+    ]
+    assert private_reaches("from .weights import as_weight\nx._y\n", "irreps") == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_private_names_across_modules(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert private_reaches(source, module) == []

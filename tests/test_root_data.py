@@ -10,6 +10,7 @@ from orthoreps.root_data import (
     diagram_automorphism,
     positive_coroot_count,
 )
+from orthoreps.weights import weyl_dimension
 
 SMALL_TYPES = [
     LieType("A", 1), LieType("A", 2), LieType("A", 3), LieType("A", 4),
@@ -94,14 +95,14 @@ def test_rho_pairings(type_id):
 def test_two_rho_is_coroot_sum(type_id):
     datum = build_root_datum(type_id)
     assert (datum.two_rho_check == datum.positive_coroots.sum(axis=0)).all()
-    assert (datum.two_rho_check > 0).all()
+    assert all(v > 0 for v in datum.two_rho_check)
 
 
 def test_a1_datum():
     datum = build_root_datum(LieType("A", 1))
     assert datum.positive_coroots.shape[0] == 1
     assert datum.rho_pairings.tolist() == [1]
-    assert datum.two_rho_check.tolist() == [1]
+    assert datum.two_rho_check == (1,)
 
 
 def test_d4_count():
@@ -136,6 +137,66 @@ def test_subrank_extraction_equals_direct_closure():
         rd._clear_caches()
         direct = build_root_datum(LieType(fam, small)).positive_coroots.copy()
         assert (derived == direct).all(), (fam, small)
+
+
+@pytest.mark.parametrize("type_id,top", [(LieType("B", 5), 40), (LieType("D", 6), 40)], ids=str)
+def test_datum_survives_family_growth(type_id, top):
+    # A datum keeps no coroot table: it reads the current family table, whose
+    # B/C/D window moves when prewarm_family replaces it at a larger rank.
+    import orthoreps.root_data as rd
+
+    m = type_id.rank
+    weights = [tuple(int(i == j) for j in range(m)) for i in range(m)] + [(1,) * m]
+
+    def snapshot(datum):
+        return (datum.positive_coroots.tolist(), datum.rho_pairings.tolist(),
+                [a.tolist() for a in rd.coroot_columns(type_id, [0, m - 1])],
+                [weyl_dimension(datum, w) for w in weights])
+
+    rd._clear_caches()
+    datum = build_root_datum(type_id)
+    before = snapshot(datum)
+    rd.prewarm_family(type_id.family, top)
+    assert snapshot(datum) == before
+    assert snapshot(build_root_datum(type_id)) == before
+
+
+def test_datum_reads_stay_whole_while_the_family_grows():
+    # Scans with workers > 1 share build_root_datum and the family tables;
+    # a reader racing a prewarm at a larger rank must see one whole window.
+    import sys
+    import threading
+
+    import orthoreps.root_data as rd
+
+    rd._clear_caches()
+    datum = build_root_datum(LieType("B", 5))
+    want = [a.tolist() for a in rd.coroot_columns(datum.type_id)]
+    done = threading.Event()
+    bad = []
+
+    def read():
+        while not done.is_set():
+            got = [a.tolist() for a in rd.coroot_columns(datum.type_id)]
+            if got != want or build_root_datum(LieType("B", 5)).fund_log.tolist() != (
+                    datum.fund_log.tolist()):
+                bad.append(got)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    try:
+        for t in readers:
+            t.start()
+        for top in range(6, 21):
+            rd.prewarm_family("B", top)
+    finally:
+        done.set()
+        for t in readers:
+            t.join(timeout=30)
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in readers)
+    assert bad == []
 
 
 @pytest.mark.parametrize(
