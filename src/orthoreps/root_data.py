@@ -215,6 +215,7 @@ def _string_closure(cartan: np.ndarray) -> np.ndarray:
     pair = C[::-1].copy()
     pvec = np.zeros((m, m), dtype=np.int16)
     chunks = [level]
+    width = 2 * m
     while True:
         q = pvec - pair
         rs, ks = np.nonzero(q > 0)
@@ -222,9 +223,17 @@ def _string_closure(cartan: np.ndarray) -> np.ndarray:
             break
         cand = level[rs].copy()
         cand[np.arange(rs.size), ks] += 1
-        uniq, first, inv = np.unique(cand, axis=0, return_index=True, return_inverse=True)
-        inv = inv.ravel()
-        new_pair = pair[rs[first]] + C[ks[first]]
+        # Key each candidate by its big-endian bytes: the entries are
+        # non-negative, so the keys sort in the same order as the rows.
+        raw = cand.astype(">i2").tobytes()
+        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # first occurrence wins
+        order = sorted(first)
+        slot = {key: j for j, key in enumerate(order)}
+        first_idx = np.fromiter((first[key] for key in order), dtype=np.intp, count=len(order))
+        inv = np.fromiter((slot[key] for key in keys), dtype=np.intp, count=len(keys))
+        uniq = cand[first_idx]
+        new_pair = pair[rs[first_idx]] + C[ks[first_idx]]
         new_pvec = np.zeros((uniq.shape[0], m), dtype=np.int16)
         new_pvec[inv, ks] = pvec[rs, ks] + 1  # each (root, direction) has a unique parent
         chunks.append(uniq)
@@ -232,51 +241,88 @@ def _string_closure(cartan: np.ndarray) -> np.ndarray:
     return np.vstack(chunks)
 
 
-@dataclass
+# Families whose sub-rank windows sit at the high end of the diagram (the
+# short/long/fork end); A, E, F and G grow from the low end.
+_HIGH_END = ("B", "C", "D")
+
+# Table cells per np.nonzero pass while summing the prefix tables; bounds
+# the transient index arrays to a few MB.
+_BLOCK_CELLS = 1 << 18
+
+
+@dataclass(frozen=True)
 class _FamilyTable:
-    """Positive-coroot table of one family at the largest rank built so far."""
+    """Positive-coroot table of one family at the largest rank built so far.
+
+    A row's need is the least rank whose window holds it.  Rank r's rows are
+    by_need[:upto[r]] (in need order).  Over those rows, two_rho_cum[r, c]
+    sums row[c] and fund_cum[r, c] sums log1p(row[c] / height), so the
+    window columns of row r of these prefix tables give rank r's 2rho^vee
+    and the log dimensions of its fundamental modules.
+    """
 
     top: int
     matrix: np.ndarray  # N x top, int16, sorted by (height, lex)
     heights: np.ndarray  # N, int64
-    sup_min: np.ndarray  # first nonzero column per row
-    sup_max: np.ndarray  # last nonzero column per row
+    by_need: np.ndarray  # N, stable argsort of the rows' need
+    upto: np.ndarray  # top + 1, rows with need <= r
+    two_rho_cum: np.ndarray  # (top + 1) x top, int64
+    fund_cum: np.ndarray  # (top + 1) x top, float64
 
 
 _tables: dict[str, _FamilyTable] = {}
 _tables_lock = threading.RLock()
 
 
+def _build_table(family: str, top: int) -> _FamilyTable:
+    mat = _string_closure(_cartan_matrix(family, top))
+    heights = mat.sum(axis=1, dtype=np.int64)
+    nz = mat != 0
+    if family in _HIGH_END:
+        need = top - nz.argmax(axis=1)  # top - first nonzero column
+    else:
+        need = top - nz[:, ::-1].argmax(axis=1)  # last nonzero column + 1
+    del nz
+    coord_sums = np.zeros((top + 1) * top)  # integer sums, exact in float64
+    log_sums = np.zeros((top + 1) * top)
+    step = max(1, _BLOCK_CELLS // top)
+    for start in range(0, mat.shape[0], step):
+        block = mat[start:start + step]
+        r, c = np.nonzero(block)
+        key = need[start + r] * top + c
+        vals = block[r, c]
+        coord_sums += np.bincount(key, weights=vals, minlength=coord_sums.size)
+        log_sums += np.bincount(key, weights=np.log1p(vals / heights[start + r]),
+                                minlength=log_sums.size)
+    two_rho_cum = np.cumsum(coord_sums.astype(np.int64).reshape(top + 1, top), axis=0)
+    fund_cum = np.cumsum(log_sums.reshape(top + 1, top), axis=0)
+    by_need = np.argsort(need, kind="stable")
+    upto = np.cumsum(np.bincount(need, minlength=top + 1))
+    for arr in (mat, heights, by_need, upto, two_rho_cum, fund_cum):
+        arr.flags.writeable = False
+    return _FamilyTable(top, mat, heights, by_need, upto, two_rho_cum, fund_cum)
+
+
 def _family_table(family: str, rank: int) -> _FamilyTable:
     with _tables_lock:
         tab = _tables.get(family)
         if tab is None or tab.top < rank:
-            mat = _string_closure(_cartan_matrix(family, rank))
-            nz = mat != 0
-            tab = _FamilyTable(
-                top=rank,
-                matrix=mat,
-                heights=mat.sum(axis=1, dtype=np.int64),
-                sup_min=nz.argmax(axis=1),
-                sup_max=rank - 1 - nz[:, ::-1].argmax(axis=1),
-            )
-            _tables[family] = tab
+            tab = _tables[family] = _build_table(family, rank)
         return tab
 
 
 def prewarm_family(family: str, rank: int) -> None:
     """Build the family's coroot table at `rank` up front.
 
-    Sub-ranks are then row filters of the cached table instead of fresh
+    Sub-ranks are then row selections of the cached table instead of fresh
     closures; useful before a scan that walks a whole rank range.
     """
     _family_table(family, rank)
 
 
 def _window(family: str, rank: int, top: int) -> tuple[int, int]:
-    # Sub-diagram window whose induced system is the same family at `rank`:
-    # low end for the A and E chains, short/long/fork end for B, C, D.
-    if family in ("B", "C", "D"):
+    # Sub-diagram window whose induced system is the same family at `rank`.
+    if family in _HIGH_END:
         return top - rank, top
     return 0, rank
 
@@ -293,26 +339,32 @@ def coroot_columns(
     """
     tab = _family_table(type_id.family, type_id.rank)
     lo, hi = _window(type_id.family, type_id.rank, tab.top)
-    rows = np.nonzero((tab.sup_min >= lo) & (tab.sup_max < hi))[0]
+    rows = tab.by_need[:tab.upto[type_id.rank]]
     if cols is None:
+        rows = np.sort(rows)
         sub = tab.matrix[rows, lo:hi]
     else:
-        sub = tab.matrix[np.ix_(rows, np.asarray(cols, dtype=np.intp) + lo)]
-        meet = (sub != 0).any(axis=1)
-        sub, rows = sub[meet], rows[meet]
+        cols = np.asarray(cols, dtype=np.intp) + lo
+        meet = np.zeros(rows.size, dtype=bool)
+        for c in cols:  # one column at a time: any(axis=1) over a few columns is slow
+            meet |= tab.matrix[rows, c] != 0
+        rows = np.sort(rows[meet])
+        sub = tab.matrix[np.ix_(rows, cols)]
     heights = tab.heights[rows]
     sub.flags.writeable = heights.flags.writeable = False
     return sub, heights
 
 
-def _validate(type_id: LieType, coroots: np.ndarray, heights: np.ndarray,
-              perm: tuple[int, ...]) -> None:
+def _validate(type_id: LieType, tab: _FamilyTable, perm: tuple[int, ...]) -> None:
+    rows = tab.by_need[:tab.upto[type_id.rank]]
+    lo, hi = _window(type_id.family, type_id.rank, tab.top)
+    heights = tab.heights[rows]
     n_expected = positive_coroot_count(type_id)
-    n = coroots.shape[0]
+    n = rows.size
     if n != n_expected:
         raise AssertionError(f"{type_id}: generated {n} positive coroots, expected {n_expected}")
-    simple = heights == 1
-    if int(simple.sum()) != type_id.rank or not bool((coroots[simple].sum(axis=0) == 1).all()):
+    simple = tab.matrix[rows[heights == 1], lo:hi]
+    if simple.shape[0] != type_id.rank or not bool((simple.sum(axis=0) == 1).all()):
         raise AssertionError(f"{type_id}: simple coroot block is malformed")
     if heights.min() < 1:
         raise AssertionError(f"{type_id}: nonpositive height in coroot table")
@@ -327,20 +379,16 @@ def _validate(type_id: LieType, coroots: np.ndarray, heights: np.ndarray,
 def build_root_datum(type_id: LieType) -> RootDatum:
     """Construct (and verify) the root datum of one simple type, cached per type."""
     fam, m = type_id.family, type_id.rank
-    coroots, heights = coroot_columns(type_id)
+    tab = _family_table(fam, m)
     perm = diagram_automorphism(type_id)
-    _validate(type_id, coroots, heights, perm)
-    heights_f = heights.astype(np.float64)
-    fund_log = np.empty(m, dtype=np.float64)
-    for j in range(m):
-        col = coroots[:, j]
-        nz = np.nonzero(col)[0]
-        fund_log[j] = float(np.log1p(col[nz] / heights_f[nz]).sum())
+    _validate(type_id, tab, perm)
+    lo, hi = _window(fam, m, tab.top)
+    fund_log = tab.fund_cum[m, lo:hi].copy()
     fund_log.flags.writeable = False
     return RootDatum(
         type_id=type_id,
         rank=m,
-        two_rho_check=tuple(int(v) for v in coroots.sum(axis=0, dtype=np.int64)),
+        two_rho_check=tuple(int(v) for v in tab.two_rho_cum[m, lo:hi]),
         fund_log=fund_log,
         dynkin_symmetry=perm,
         epsilon=_epsilon(type_id),

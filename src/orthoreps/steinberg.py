@@ -14,8 +14,6 @@ and splits the survivors by Frobenius-Schur indicator.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Iterable, Sequence
@@ -271,6 +269,11 @@ def _scan_one_type(
             continue
         factor = IrrepCandidate.of(build_root_datum(type_id), rec.weight, rec.corrected_dim)
         if not factor.self_dual:
+            non_self_dual += 1
+            events.append(
+                ("non-self-dual", (n,),
+                 f"exception record at ell={rec.ell}, weight {list(rec.weight)}", 1)
+            )
             continue
         kept.append(_tensor(type_id, (factor,), mode, non_generic_ell=rec.ell))
     return kept, events, non_self_dual
@@ -298,7 +301,6 @@ def classify_orthogonal(
     min_char: int | None = None,
     mode: str = MODE_ORBIT,
     exceptions: Sequence[ExceptionRecord] = (),
-    workers: int | None = None,
 ) -> ClassificationReport:
     """Classify all orthogonal/symplectic tensor candidates of dimension n.
 
@@ -327,17 +329,7 @@ def classify_orthogonal(
     for fam, top in sorted(by_family.items()):
         root_data.prewarm_family(fam, top)
 
-    if workers is None:
-        workers = int(os.environ.get("ORTHOREPS_WORKERS", "1") or "1")
-
-    def scan(t: LieType):
-        return _scan_one_type(t, facts, n, mode, min_char, exceptions)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan, types))
-    else:
-        results = [scan(t) for t in types]
+    results = [_scan_one_type(t, facts, n, mode, min_char, exceptions) for t in types]
 
     orthogonal: list[TensorCandidate] = []
     symplectic: list[TensorCandidate] = []

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from orthoreps.irreps import (
@@ -116,18 +117,46 @@ def test_large_rank_bound_covers_both_ends():
     assert weights == {w1, w291}
 
 
+def fund_log_by_columns(coroots, heights):
+    """Oracle: log dimension of each fundamental module, one column at a time.
+
+    Weyl's formula gives dim L(omega_j) as the product of 1 + c_j / height
+    over the positive coroots c; the sum of the logs runs over the rows with
+    c_j != 0.
+    """
+    heights_f = heights.astype(np.float64)
+    out = []
+    for j in range(coroots.shape[1]):
+        col = coroots[:, j]
+        nz = np.nonzero(col)[0]
+        out.append(float(np.log1p(col[nz] / heights_f[nz]).sum()))
+    return out
+
+
 def test_scan_cache_consistent_with_datum():
+    # Every rank of each classical family is built after a prewarm at the
+    # family's top rank, so all but the top rank read their sums from an
+    # inner row of the prefix tables; B, C and D windows sit at the high
+    # end, A's at the low end.
     import math
 
-    for t in [LieType("A", 7), LieType("B", 5), LieType("C", 4), LieType("D", 6),
-              LieType("E", 7), LieType("G", 2)]:
+    import orthoreps.root_data as rd
+
+    rd._clear_caches()
+    types = [LieType("E", 7), LieType("G", 2)]
+    for fam, lo, top in [("A", 2, 40), ("B", 2, 20), ("C", 3, 20), ("D", 4, 20)]:
+        rd.prewarm_family(fam, top)
+        types += [LieType(fam, r) for r in range(lo, top + 1)]
+    for t in types:
         datum = build_root_datum(t)
         assert datum.two_rho_check == tuple(int(v) for v in datum.positive_coroots.sum(axis=0))
+        by_columns = fund_log_by_columns(datum.positive_coroots, datum.rho_pairings)
         for i in range(t.rank):
+            assert math.isclose(datum.fund_log[i], by_columns[i], rel_tol=1e-12), (t, i)
             w = [0] * t.rank
             w[i] = 1
             exact = weyl_dimension(datum, tuple(w))
-            assert math.isclose(datum.fund_log[i], math.log(exact), rel_tol=1e-9)
+            assert math.isclose(datum.fund_log[i], math.log(exact), rel_tol=1e-9), (t, i)
 
 
 def test_trivial_included_and_sorted():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from orthoreps.root_data import (
     LieType,
     _cartan_matrix,
+    _string_closure,
     build_root_datum,
     diagram_automorphism,
     positive_coroot_count,
@@ -55,6 +56,48 @@ def test_closure_matches_reflection_oracle(type_id):
     expected = reflection_closure(_cartan_matrix(type_id.family, type_id.rank))
     got = {tuple(int(v) for v in row) for row in datum.positive_coroots}
     assert got == expected
+
+
+def unique_closure(cartan: np.ndarray) -> np.ndarray:
+    """Oracle: the string closure with np.unique(axis=0) as its row dedupe.
+
+    np.unique sorts the candidate rows lexicographically and returns the
+    first occurrence of each, which fixes the (height, lex) row order and
+    the parent each new root's string depths are carried from.
+    """
+    m = cartan.shape[0]
+    C = cartan.astype(np.int16)
+    level = np.eye(m, dtype=np.int16)[::-1].copy()
+    pair = C[::-1].copy()
+    pvec = np.zeros((m, m), dtype=np.int16)
+    chunks = [level]
+    while True:
+        rs, ks = np.nonzero(pvec - pair > 0)
+        if rs.size == 0:
+            break
+        cand = level[rs].copy()
+        cand[np.arange(rs.size), ks] += 1
+        uniq, first, inv = np.unique(cand, axis=0, return_index=True, return_inverse=True)
+        inv = inv.ravel()
+        new_pair = pair[rs[first]] + C[ks[first]]
+        new_pvec = np.zeros((uniq.shape[0], m), dtype=np.int16)
+        new_pvec[inv, ks] = pvec[rs, ks] + 1
+        chunks.append(uniq)
+        level, pair, pvec = uniq, new_pair, new_pvec
+    return np.vstack(chunks)
+
+
+@pytest.mark.parametrize(
+    "type_id",
+    [LieType("A", 40), LieType("B", 40), LieType("C", 40), LieType("D", 40),
+     LieType("E", 8), LieType("F", 4), LieType("G", 2)],
+    ids=str,
+)
+def test_closure_matches_unique_oracle(type_id):
+    cartan = _cartan_matrix(type_id.family, type_id.rank)
+    got = _string_closure(cartan)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, unique_closure(cartan))
 
 
 def test_coroots_differ_from_roots_for_asymmetric_types():
@@ -162,8 +205,9 @@ def test_datum_survives_family_growth(type_id, top):
 
 
 def test_datum_reads_stay_whole_while_the_family_grows():
-    # Scans with workers > 1 share build_root_datum and the family tables;
-    # a reader racing a prewarm at a larger rank must see one whole window.
+    # Callers on several threads share build_root_datum and the family
+    # tables; a reader racing a prewarm at a larger rank must see one whole
+    # window.
     import sys
     import threading
 

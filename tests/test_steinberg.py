@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoreps.irreps import load_exceptions
+from orthoreps.irreps import ExceptionRecord, load_exceptions
 from orthoreps.root_data import LieType
 from orthoreps.steinberg import (
     MODE_ALL,
@@ -142,11 +142,6 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_orthogonal(12, min_char=7)
 
-    def test_workers_do_not_change_output(self):
-        a = classify_orthogonal(12, workers=1)
-        b = classify_orthogonal(12, workers=4)
-        assert a == b
-
     def test_no_non_a1_dim2_factor_anywhere(self):
         for n in (4, 12, 16):
             report = classify_orthogonal(n, mode=MODE_ALL)
@@ -164,6 +159,20 @@ class TestClassify:
         assert tagged[0].non_generic_ell == 23
         assert tagged[0].dim == 60
         assert str(tagged[0].type_id) == "B2"
+
+    def test_non_self_dual_exception_record_is_noted(self):
+        # L(2*omega_1) of A2 is not self-dual; a record giving it dimension n
+        # is dropped, and the drop must show in the notes and the count.
+        rec = ExceptionRecord(LieType("A", 2), (2, 0), 3, 4)
+        plain = classify_orthogonal(4, min_char=20)
+        report = classify_orthogonal(4, min_char=20, exceptions=[rec])
+        assert report.orthogonal == plain.orthogonal and report.symplectic == plain.symplectic
+        assert report.excluded_non_self_dual == plain.excluded_non_self_dual + 1
+        added = [note for note in report.notes if note not in plain.notes]
+        assert [(a.rule, a.family, a.ranks, a.factorization, a.count) for a in added] == [
+            ("non-self-dual", "A", "2", (4,), 1)
+        ]
+        assert "ell=3" in added[0].detail
 
 
 class TestTheorem1:
