@@ -22,6 +22,7 @@ __all__ = [
     "compute_M",
     "is_prime",
     "multiplicative_order",
+    "has_order",
     "find_prime_pairs",
     "PRIMALITY_POLICY",
 ]
@@ -68,7 +69,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Floyd's cycle detection: x steps once, y twice)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -147,10 +148,14 @@ def multiplicative_order(t: int, p: int) -> int:
     return order
 
 
-def _has_order(t: int, n: int, p: int, n_prime_divisors: tuple[int, ...]) -> bool:
+def has_order(t: int, n: int, p: int) -> bool:
+    """True iff t has multiplicative order exactly n mod p.
+
+    Needs only the prime divisors of n, never a factorization of p - 1.
+    """
     if pow(t, n, p) != 1:
         return False
-    return all(pow(t, n // q, p) != 1 for q in n_prime_divisors)
+    return all(pow(t, n // q, p) != 1 for q in factorize(n))
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,6 @@ class PairChecks:
     t_greater_M: bool
     order_of_t_is_n: bool
     t_half_power_is_minus_one: bool
-    L0_splitting: str = "not checked"
 
 
 @dataclass(frozen=True)
@@ -191,19 +195,17 @@ def _primes_1_mod_n(n: int, M: int, limit: int | None) -> Iterator[int]:
         p += n
 
 
-def _smallest_primitive_root(p: int) -> int:
-    qs = tuple(factorize(p - 1))
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-        g += 1
-
-
 def _order_n_residues(n: int, p: int) -> list[int]:
-    g = _smallest_primitive_root(p)
+    """The residues of order exactly n mod p, ascending.
+
+    h = a^((p-1)/n) for the least a >= 2 that gives order n; the residues
+    are its powers h^j with gcd(j, n) = 1.
+    """
     step = (p - 1) // n
-    return sorted(pow(g, j * step, p) for j in range(1, n) if gcd(j, n) == 1)
+    a = 2
+    while not has_order(h := pow(a, step, p), n, p):
+        a += 1
+    return sorted(pow(h, j, p) for j in range(1, n) if gcd(j, n) == 1)
 
 
 def find_prime_pairs(
@@ -227,7 +229,6 @@ def find_prime_pairs(
         raise ValueError(f"M must be >= 1, got {M}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    n_divs = tuple(factorize(n))
     pairs: list[PrimePair] = []
     exhausted = search_limit is not None
     for p in _primes_1_mod_n(n, M, search_limit):
@@ -240,7 +241,8 @@ def find_prime_pairs(
                     continue
                 if t % 2 == 0 or not is_prime(t):
                     continue
-                if not _has_order(t, n, p, n_divs):
+                order_ok = has_order(t, n, p)
+                if not order_ok:
                     raise AssertionError(f"residue stream produced t={t} of wrong order mod {p}")
                 half = pow(t, n // 2, p)
                 if half != p - 1:
@@ -253,7 +255,7 @@ def find_prime_pairs(
                     p_1_mod_n=p % n == 1,
                     p_greater_M=p > M,
                     t_greater_M=t > M,
-                    order_of_t_is_n=multiplicative_order(t, p) == n,
+                    order_of_t_is_n=order_ok,
                     t_half_power_is_minus_one=half == p - 1,
                 )
                 pairs.append(PrimePair(p=p, t=t, n=n, M=M, checks=checks))
@@ -275,7 +277,6 @@ def pair_json(pair: PrimePair) -> dict:
             "t_greater_M": pair.checks.t_greater_M,
             "order_of_t_is_n": pair.checks.order_of_t_is_n,
             "t_half_power_is_minus_one": pair.checks.t_half_power_is_minus_one,
-            "L0_splitting": pair.checks.L0_splitting,
         },
     }
 

@@ -205,12 +205,9 @@ def _cmd_primes(args) -> int:
     if args.format == "json":
         text = json.dumps(arith.search_json(result, m_mode=mode), indent=2) + "\n"
     else:
-        rows = [("p", "t", "all_checks", "L0_splitting")]
+        rows = [("p", "t", "all_checks")]
         for pair in result.pairs:
-            ok = all(
-                v for k2, v in vars(pair.checks).items() if isinstance(v, bool)
-            )
-            rows.append((str(pair.p), str(pair.t), str(ok), pair.checks.L0_splitting))
+            rows.append((str(pair.p), str(pair.t), str(all(vars(pair.checks).values()))))
         text = _align(rows)
         if result.exhausted:
             text += "search limit exhausted: partial result\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime, multiplicative_order
+from .arith import has_order, is_prime
 
 __all__ = [
     "TameParameters",
@@ -49,10 +49,10 @@ class TameParameters:
             raise ValueError(f"t must be prime, got {self.t}")
         if self.n < 2 or self.n % 2:
             raise ValueError(f"n must be even and >= 2, got {self.n}")
-        if multiplicative_order(self.t, self.p) != self.n:
+        if not has_order(self.t, self.n, self.p):
             raise ValueError(
-                f"t={self.t} has order {multiplicative_order(self.t, self.p)} mod p={self.p}, "
-                f"need exactly n={self.n}; the induced module would not be irreducible"
+                f"t={self.t} does not have order exactly n={self.n} mod p={self.p}; "
+                "the induced module would not be irreducible"
             )
         if not is_prime(self.lam) or self.lam % self.p != 1:
             raise ValueError(f"lambda={self.lam} must be a prime = 1 (mod p={self.p})")
@@ -91,9 +91,10 @@ def build_induced_rep(p: int, t: int, n: int, lam: int | None = None) -> Monomia
     """Construct the monomial model for the given (p, t, n).
 
     When lam is omitted the smallest odd prime = 1 (mod p) not dividing n
-    is used; zeta is the smallest element of exact order p.  All structural
-    invariants (tame relation, generator orders, Gram symmetry and
-    invertibility) are verified at construction.
+    is used; zeta is the smallest element of exact order p.  The order of t,
+    distinct character exponents, the tame relation and Gram symmetry are
+    verified at construction; the Gram matrix is a permutation matrix by
+    construction, so it is invertible.
     """
     if lam is None:
         lam = _default_lambda(p, n)
@@ -115,16 +116,11 @@ def build_induced_rep(p: int, t: int, n: int, lam: int | None = None) -> Monomia
         raise AssertionError("character exponents collide; order of t mod p is too small")
     if not tame_relation_holds(rep):
         raise AssertionError("tame relation phi tau phi^-1 = tau^t fails")
-    if not bool((gram == gram.T).all()) or _gram_determinant_sign(n) not in (-1, 1):
-        raise AssertionError("Gram form is not a symmetric pairing")
+    if not bool((gram == gram.T).all()):
+        raise AssertionError("Gram form is not symmetric")
     for arr in (rep.tau, rep.phi, rep.gram):
         arr.flags.writeable = False
     return rep
-
-
-def _gram_determinant_sign(n: int) -> int:
-    """det of the distance-n/2 pairing permutation: sign of n/2 transpositions."""
-    return -1 if (n // 2) % 2 else 1
 
 
 def tame_relation_holds(rep: MonomialRep) -> bool:
@@ -215,7 +211,6 @@ def rep_json(rep: MonomialRep) -> dict:
         "verdicts": {
             "tame_relation": tame_relation_holds(rep),
             "gram_preserved": verify_orthogonality(rep),
-            "gram_determinant": _gram_determinant_sign(rep.n),
             "commutant_dimension": commutant_dimension(rep),
             "tau_projective_order": projective_order(rep, "tau"),
             "phi_projective_order": projective_order(rep, "phi"),

@@ -13,7 +13,6 @@ exceptions file rather than computed.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +31,6 @@ __all__ = [
     "default_scan_types",
     "load_exceptions",
     "candidate_json",
-    "write_candidates_jsonl",
 ]
 
 # Dimensions are generic for characteristics above this floor; see the
@@ -166,14 +164,14 @@ def enumerate_restricted(
     return out
 
 
-def default_scan_types(n: int, include_a1: bool = True) -> list[LieType]:
+def default_scan_types(n: int) -> list[LieType]:
     """Types whose smallest faithful module can still fit in dimension n.
 
     Classical ranks are cut off at the natural-module dimension; the
     exceptional types are always scanned.  C2 is omitted in favor of the
     isomorphic B2 so coincident rank-2 candidates are not double-listed.
     """
-    types = [LieType("A", m) for m in range(1 if include_a1 else 2, n)]
+    types = [LieType("A", m) for m in range(1, n)]
     types += [LieType("B", m) for m in range(2, n // 2 + 1)]
     types += [LieType("C", m) for m in range(3, n // 2 + 1)]
     types += [LieType("D", m) for m in range(4, n // 2 + 1)]
@@ -308,9 +306,3 @@ def candidate_json(cand: IrrepCandidate) -> dict:
         "epsilon": cand.epsilon,
         "min_char": cand.min_char,
     }
-
-
-def write_candidates_jsonl(cands: Iterable[IrrepCandidate], fp: IO[str]) -> None:
-    """Emit one candidate per line as JSON."""
-    for cand in cands:
-        fp.write(json.dumps(candidate_json(cand)) + "\n")

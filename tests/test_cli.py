@@ -1,6 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 from orthoreps.cli import run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -75,7 +80,7 @@ class TestPrimesCommand:
         assert payload["M"] == "2" and payload["M_mode"] == "override"
         (pair,) = payload["pairs"]
         assert (pair["p"], pair["t"]) == ("5", "3")
-        assert pair["checks"]["L0_splitting"] == "not checked"
+        assert "L0_splitting" not in pair["checks"]
         assert "primality_policy" in payload
 
     def test_auto_m(self, capsys):
@@ -158,3 +163,21 @@ class TestCliContract:
                               "--output", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["M"] == "385"
+
+
+def readme_commands():
+    """Every line of README's sh blocks that begins with `orthoreps `."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("orthoreps ")]
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    commands = readme_commands()
+    assert any("--exceptions exc.csv" in c for c in commands)
+    (tmp_path / "exc.csv").write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",7,71\n')
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = shlex.split(command, comments=True)[1:]
+        assert run(argv) == 0, command
+        capsys.readouterr()

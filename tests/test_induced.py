@@ -90,8 +90,9 @@ class TestVerification:
             rep = build_induced_rep(p, t, n)
             assert (rep.gram == rep.gram.T).all()
             assert not rep.gram.diagonal().any()
-            sign = rep_json(rep)["verdicts"]["gram_determinant"]
-            assert sign in (-1, 1)
+            # one 1 in every row and column: a permutation matrix, det = +-1
+            assert set(np.unique(rep.gram)) == {0, 1}
+            assert (rep.gram.sum(axis=0) == 1).all() and (rep.gram.sum(axis=1) == 1).all()
 
     def test_tau_alone_commutant_is_diagonal(self):
         rep = build_induced_rep(5, 3, 4, 11)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from orthoreps.cli import run
 from orthoreps.irreps import (
     ExceptionRecord,
     candidate_json,
@@ -12,7 +13,6 @@ from orthoreps.irreps import (
     default_scan_types,
     enumerate_restricted,
     load_exceptions,
-    write_candidates_jsonl,
 )
 from orthoreps.root_data import LieType, build_root_datum
 from orthoreps.weights import weyl_dimension
@@ -187,13 +187,13 @@ def test_bad_bound():
         enumerate_restricted(A1, 0)
 
 
-def test_rerun_is_byte_identical():
+def test_rerun_is_byte_identical(capsys):
     def dump():
-        buf = io.StringIO()
-        write_candidates_jsonl(enumerate_restricted(LieType("B", 3), 50), buf)
-        return buf.getvalue()
+        assert run(["enumerate", "--family", "B", "--rank", "3", "--bound", "50"]) == 0
+        return capsys.readouterr().out
 
-    assert dump() == dump()
+    first = dump()
+    assert first and dump() == first
 
 
 def test_jsonl_schema():
