@@ -195,17 +195,24 @@ def _primes_1_mod_n(n: int, M: int, limit: int | None) -> Iterator[int]:
         p += n
 
 
+def _smallest_primitive_root(p: int) -> int:
+    qs = tuple(factorize(p - 1))
+    g = 2
+    while True:
+        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
+            return g
+        g += 1
+
+
 def _order_n_residues(n: int, p: int) -> list[int]:
     """The residues of order exactly n mod p, ascending.
 
-    h = a^((p-1)/n) for the least a >= 2 that gives order n; the residues
-    are its powers h^j with gcd(j, n) = 1.
+    Powers of the least primitive root; finding it factors p - 1, which
+    stalls on some full-strength searches (n = 34, 38, 40, ...).
     """
+    g = _smallest_primitive_root(p)
     step = (p - 1) // n
-    a = 2
-    while not has_order(h := pow(a, step, p), n, p):
-        a += 1
-    return sorted(pow(h, j, p) for j in range(1, n) if gcd(j, n) == 1)
+    return sorted(pow(g, j * step, p) for j in range(1, n) if gcd(j, n) == 1)
 
 
 def find_prime_pairs(
