@@ -13,10 +13,11 @@ and splits the survivors by Frobenius-Schur indicator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import root_data
 from .arith import is_prime
@@ -236,12 +237,18 @@ def _check_mode(mode: str) -> None:
 def _scan_one_type(
     type_id: LieType,
     facts: Sequence[tuple[int, ...]],
+    by_dim: dict[int, list[IrrepCandidate]],
     n: int,
     mode: str,
     min_char: int,
     exceptions: Sequence[ExceptionRecord],
 ):
-    by_dim = _factors_by_dim(type_id, n, exceptions)
+    """Kept candidates, exclusion events and the non-self-dual count of one type.
+
+    by_dim is `_factors_by_dim` of this type at any bound >= n: assembly reads
+    it only at the divisors of n, and a factor's flags depend on its weight,
+    not on the bound.
+    """
     products, events = _assemble(type_id, facts, by_dim, mode)
 
     kept: list[TensorCandidate] = []
@@ -312,6 +319,18 @@ def classify_orthogonal(
     splits the rest by indicator.  Every dropped branch is recorded in the
     exclusion notes.
     """
+    return _classify(n, min_char, mode, exceptions,
+                     lambda type_id: _factors_by_dim(type_id, n, exceptions))
+
+
+def _classify(
+    n: int,
+    min_char: int | None,
+    mode: str,
+    exceptions: Sequence[ExceptionRecord],
+    factors_of: Callable[[LieType], dict[int, list[IrrepCandidate]]],
+) -> ClassificationReport:
+    """classify_orthogonal, with each type's `_factors_by_dim` table from factors_of."""
     if n < 2 or n % 2:
         raise ValueError(f"target dimension must be even and >= 2, got {n}")
     _check_mode(mode)
@@ -329,7 +348,8 @@ def classify_orthogonal(
     for fam, top in sorted(by_family.items()):
         root_data.prewarm_family(fam, top)
 
-    results = [_scan_one_type(t, facts, n, mode, min_char, exceptions) for t in types]
+    results = [_scan_one_type(t, facts, factors_of(t), n, mode, min_char, exceptions)
+               for t in types]
 
     orthogonal: list[TensorCandidate] = []
     symplectic: list[TensorCandidate] = []
@@ -379,13 +399,22 @@ def verify_theorem1(pi: int) -> Theorem1Evidence:
     rank 2*pi; the evidence keeps the full report, including the symplectic
     side and every exclusion applied.
     """
+    _check_theorem1_prime(pi)
+    n = 4 * pi
+    return _evidence(pi, classify_orthogonal(n, min_char=n + 1, mode=MODE_ORBIT))
+
+
+def _check_theorem1_prime(pi: int) -> None:
     if not is_prime(pi) or not (17 <= pi <= 73):
         raise ValueError(
             f"pi={pi} is outside the classification hypothesis: pi must be a prime "
             "with 17 <= pi <= 73"
         )
+
+
+def _evidence(pi: int, report: ClassificationReport) -> Theorem1Evidence:
+    """The theorem-1 checks on the n = 4*pi report."""
     n = 4 * pi
-    report = classify_orthogonal(n, min_char=n + 1, mode=MODE_ORBIT)
     d_type = LieType("D", 2 * pi)
     omega1 = (1,) + (0,) * (2 * pi - 1)
     passed = (
@@ -417,9 +446,23 @@ def verify_theorem1(pi: int) -> Theorem1Evidence:
 
 
 def theorem1_sweep(pis: Iterable[int] | None = None) -> list[Theorem1Evidence]:
-    """verify_theorem1 over several primes, largest first so caches warm once."""
+    """verify_theorem1's evidence for several primes, in ascending order of pi.
+
+    Every pi is checked before any scan.  Each scanned type is enumerated
+    once, at the largest n, and that table serves every smaller n.  The
+    largest n runs first, so the family tables are built once.
+    """
     pis = sorted(set(THEOREM1_PRIMES if pis is None else pis))
-    evidence = {pi: verify_theorem1(pi) for pi in reversed(pis)}
+    for pi in pis:
+        _check_theorem1_prime(pi)
+    if not pis:
+        return []
+    bound = 4 * pis[-1]
+    factors_of = functools.cache(lambda type_id: _factors_by_dim(type_id, bound, ()))
+    evidence = {
+        pi: _evidence(pi, _classify(4 * pi, 4 * pi + 1, MODE_ORBIT, (), factors_of))
+        for pi in reversed(pis)
+    }
     return [evidence[pi] for pi in pis]
 
 

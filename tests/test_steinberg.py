@@ -1,13 +1,17 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoreps.irreps import ExceptionRecord, load_exceptions
+from orthoreps import steinberg
+from orthoreps.irreps import ExceptionRecord, default_scan_types, load_exceptions
 from orthoreps.root_data import LieType
 from orthoreps.steinberg import (
     MODE_ALL,
     MODE_ORBIT,
     classify_orthogonal,
+    evidence_json,
     factorizations,
     steinberg_products,
     theorem1_sweep,
@@ -192,3 +196,56 @@ class TestTheorem1:
         evs = theorem1_sweep([19, 23])
         assert [ev.pi for ev in evs] == [19, 23]
         assert all(ev.passed for ev in evs)
+
+    def test_sweep_matches_one_prime_at_a_time(self):
+        swept = theorem1_sweep([17, 23])
+        assert [ev.pi for ev in swept] == [17, 23]
+        for ev in swept:
+            alone = verify_theorem1(ev.pi)
+            assert json.dumps(evidence_json(ev)) == json.dumps(evidence_json(alone))
+
+    def test_sweep_enumerates_each_type_once_at_the_largest_n(self, monkeypatch):
+        calls = _count_enumerations(monkeypatch)
+        theorem1_sweep([17, 19])
+        assert sorted(t for t, _ in calls) == default_scan_types(76)
+        assert {bound for _, bound in calls} == {76}
+
+    def test_sweep_checks_every_prime_before_scanning(self, monkeypatch):
+        calls = _count_enumerations(monkeypatch)
+        with pytest.raises(ValueError, match="17 <= pi <= 73"):
+            theorem1_sweep([17, 13])
+        assert calls == []
+        assert theorem1_sweep([]) == []
+        assert calls == []
+
+
+def _count_enumerations(monkeypatch) -> list[tuple[LieType, int]]:
+    """Patch steinberg's enumerate_restricted to record (type, bound) per call."""
+    calls: list[tuple[LieType, int]] = []
+    real = steinberg.enumerate_restricted
+
+    def counted(type_id, dim_bound, exceptions=()):
+        calls.append((type_id, dim_bound))
+        return real(type_id, dim_bound, exceptions)
+
+    monkeypatch.setattr(steinberg, "enumerate_restricted", counted)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([A1, LieType("A", 3), LieType("B", 3), LieType("C", 4),
+                     LieType("D", 4), LieType("G", 2), LieType("E", 6)]),
+    st.integers(1, 40),
+    st.integers(0, 60),
+    st.sampled_from([MODE_ORBIT, MODE_ALL]),
+)
+def test_assembly_reads_a_larger_bound_table_only_at_n(type_id, half_n, extra, mode):
+    """A factor table built at any bound >= n gives the products and events of bound n."""
+    n = 2 * half_n
+    facts = factorizations(n)
+    at_n = steinberg._assemble(type_id, facts, steinberg._factors_by_dim(type_id, n, ()), mode)
+    wide = steinberg._assemble(
+        type_id, facts, steinberg._factors_by_dim(type_id, n + extra, ()), mode)
+    assert wide[1] == at_n[1]
+    assert sorted(wide[0], key=steinberg._product_sort_key) == steinberg_products(type_id, n, mode)
