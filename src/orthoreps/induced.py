@@ -7,16 +7,19 @@ unramified level gives a monomial model: tau acts by the diagonal matrix
 with entries zeta^(t^i mod p) and phi by the cyclic shift.  Matrices live
 over a prime field F_lambda with lambda = 1 (mod p) so all arithmetic is
 exact; the invariant symmetric form pairs coordinate i with i + n/2, which
-is forced by t^(n/2) = -1 (mod p).
+is forced by t^(n/2) = -1 (mod p).  Every verdict reads tau, phi and the
+Gram matrix in monomial form (a permutation and one coefficient per column)
+and computes in Python ints, so no verdict can overflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import has_order, is_prime
+from .arith import factorize, has_order, is_prime
 
 __all__ = [
     "TameParameters",
@@ -123,77 +126,155 @@ def build_induced_rep(p: int, t: int, n: int, lam: int | None = None) -> Monomia
     return rep
 
 
+# (sigma, coeffs): the matrix sending e_j to coeffs[j] e_sigma[j] over F_lambda.
+Monomial = tuple[list[int], list[int]]
+
+
+def _monomial(rep: MonomialRep, name: str) -> Monomial:
+    """The generator `name` in monomial form.
+
+    Entries are read as Python ints mod lambda.  Raises ValueError unless the
+    matrix has exactly one nonzero entry in every row and every column.
+    """
+    arr = getattr(rep, name)
+    lam, n = rep.params.lam, rep.n
+    rows, cols = np.nonzero(arr % lam)
+    one_per_line = len(rows) == len(set(rows.tolist())) == len(set(cols.tolist())) == n
+    if arr.shape != (n, n) or not one_per_line:
+        raise ValueError(
+            f"{name} is not monomial: it needs exactly one nonzero entry mod {lam} "
+            "in every row and every column"
+        )
+    sigma, coeffs = [0] * n, [0] * n
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        sigma[c], coeffs[c] = r, int(arr[r, c]) % lam
+    return sigma, coeffs
+
+
+def _compose(g: Monomial, h: Monomial, lam: int) -> Monomial:
+    """The monomial g h: e_j goes to h_j g_{h(j)} e_{g(h(j))}."""
+    (g_sigma, g_coeffs), (h_sigma, h_coeffs) = g, h
+    return ([g_sigma[k] for k in h_sigma],
+            [c * g_coeffs[k] % lam for k, c in zip(h_sigma, h_coeffs)])
+
+
+def _transpose(g: Monomial) -> Monomial:
+    """g^T: e_sigma(j) goes to c_j e_j."""
+    sigma, coeffs = g
+    t_sigma, t_coeffs = [0] * len(sigma), [0] * len(sigma)
+    for j, k in enumerate(sigma):
+        t_sigma[k], t_coeffs[k] = j, coeffs[j]
+    return t_sigma, t_coeffs
+
+
+def _inverse(g: Monomial, lam: int) -> Monomial:
+    sigma, coeffs = _transpose(g)
+    return sigma, [pow(c, -1, lam) for c in coeffs]
+
+
+def _power(g: Monomial, k: int, lam: int) -> Monomial:
+    """g^k by repeated squaring."""
+    out = (list(range(len(g[0]))), [1] * len(g[0]))
+    while k:
+        if k & 1:
+            out = _compose(out, g, lam)
+        g = _compose(g, g, lam)
+        k >>= 1
+    return out
+
+
 def tame_relation_holds(rep: MonomialRep) -> bool:
+    """True iff phi tau phi^-1 = tau^t over F_lambda."""
     lam = rep.params.lam
-    lhs = rep.phi @ rep.tau @ rep.phi.T % lam
-    rhs = np.diag([pow(int(d), rep.params.t, lam) for d in np.diag(rep.tau)])
-    return bool((lhs == rhs).all())
+    tau, phi = _monomial(rep, "tau"), _monomial(rep, "phi")
+    lhs = _compose(_compose(phi, tau, lam), _inverse(phi, lam), lam)
+    return lhs == _power(tau, rep.params.t, lam)
 
 
 def verify_orthogonality(rep: MonomialRep) -> bool:
     """True iff both generators preserve the Gram form over F_lambda."""
     lam = rep.params.lam
+    gram = _monomial(rep, "gram")
     return all(
-        bool(((g.T @ rep.gram @ g) % lam == rep.gram).all()) for g in (rep.tau, rep.phi)
+        _compose(_compose(_transpose(g), gram, lam), g, lam) == gram
+        for g in (_monomial(rep, "tau"), _monomial(rep, "phi"))
     )
-
-
-def _rank_mod(matrix: np.ndarray, lam: int) -> int:
-    """Rank over F_lambda by Gaussian elimination; rows stay int64 mod lam."""
-    m = matrix % lam
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if m[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), lam - 2, lam)
-        m[rank] = m[rank] * inv % lam
-        hits = np.nonzero(m[:, col])[0]
-        hits = hits[hits != rank]
-        if hits.size:
-            m[hits] = (m[hits] - np.outer(m[hits, col], m[rank])) % lam
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def commutant_dimension(rep: MonomialRep, use: tuple[str, ...] = ("tau", "phi")) -> int:
     """Dimension over F_lambda of the joint commutant of the chosen generators.
 
-    Solves X g = g X for all selected g by exact linear algebra on the
-    n^2 unknowns; 1 certifies absolute irreducibility here since lambda
-    splits all character values.
+    For a monomial g sending e_j to c_j e_sigma(j), X g = g X says
+    X[sigma a, sigma j] = (c_a / c_j) X[a, j]: each generator maps the n^2
+    entries of X to each other one to one, with a weight.  On a connected
+    component of these maps one entry fixes all others; it is free when every
+    cycle of weights closes to 1 and forced to 0 otherwise.  The dimension is
+    the number of free components, found in O(n^2 |use|) steps with no
+    matrix.  1 certifies absolute irreducibility here since lambda splits all
+    character values.
     """
-    lam = rep.params.lam
-    n = rep.n
-    eye = np.eye(n, dtype=np.int64)
-    blocks = []
+    lam, n = rep.params.lam, rep.n
+    maps = []
     for name in use:
-        g = getattr(rep, name)
-        blocks.append((np.kron(eye, g) - np.kron(g.T, eye)) % lam)
-    system = np.vstack(blocks)
-    return n * n - _rank_mod(system, lam)
+        sigma, coeffs = _monomial(rep, name)
+        maps.append((sigma, coeffs, [pow(c, -1, lam) for c in coeffs]))
+    potential = [0] * (n * n)  # 0 marks an unvisited entry; potentials are units
+    free = 0
+    for root in range(n * n):
+        if potential[root]:
+            continue
+        potential[root] = 1
+        stack, closed = [root], True
+        while stack:
+            cell = stack.pop()
+            a, j = divmod(cell, n)
+            for sigma, coeffs, inverses in maps:
+                nxt = sigma[a] * n + sigma[j]
+                value = potential[cell] * coeffs[a] * inverses[j] % lam
+                if not potential[nxt]:
+                    potential[nxt] = value
+                    stack.append(nxt)
+                elif potential[nxt] != value:
+                    closed = False
+        free += closed
+    return free
 
 
 def projective_order(rep: MonomialRep, which: str) -> int:
-    """Least d >= 1 such that the d-th power of the generator is scalar."""
-    g = getattr(rep, which)
-    lam = rep.params.lam
-    acc = g.copy()
-    bound = rep.params.p * rep.n + 1
-    for d in range(1, bound + 1):
-        diag = np.diag(acc)
-        if bool((acc == np.diag(diag)).all()) and len(set(diag.tolist())) == 1:
-            return d
-        acc = acc @ g % lam
-    raise AssertionError(f"no scalar power of {which} up to {bound}")
+    """Least d >= 1 such that the d-th power of the generator is scalar.
+
+    For a monomial g, g^d is scalar only when sigma^d = id, so d is a multiple
+    of m, the lcm of sigma's cycle lengths.  g^m is diagonal: on each cycle C
+    it is the product of C's coefficients to the power m/|C|.  g^(m k) is
+    scalar iff every ratio of those values has k-th power 1; the least such k
+    divides lambda - 1 and is found by descending over its prime divisors,
+    p and those of the cofactor (lambda - 1)/p^a.  p - 1 is never factored.
+    """
+    lam, p = rep.params.lam, rep.params.p
+    sigma, coeffs = _monomial(rep, which)
+    seen = [False] * rep.n
+    cycles = []  # (length, coefficient product) of each cycle of sigma
+    for start in range(rep.n):
+        length, prod, j = 0, 1, start
+        while not seen[j]:
+            seen[j] = True
+            length, prod, j = length + 1, prod * coeffs[j] % lam, sigma[j]
+        if length:
+            cycles.append((length, prod))
+    m = math.lcm(*(length for length, _ in cycles))
+    values = [pow(prod, m // length, lam) for length, prod in cycles]
+    first = pow(values[0], -1, lam)
+    ratios = {v * first % lam for v in values} - {1}
+    if not ratios:
+        return m
+    cofactor = lam - 1
+    while cofactor % p == 0:
+        cofactor //= p
+    k = lam - 1
+    for q in {p, *factorize(cofactor)}:
+        while k % q == 0 and all(pow(r, k // q, lam) == 1 for r in ratios):
+            k //= q
+    return m * k
 
 
 def rep_json(rep: MonomialRep) -> dict:

@@ -105,6 +105,19 @@ class TestInduceCommand:
         assert v["commutant_dimension"] == 1
         assert v["tau_projective_order"] == 5
 
+    def test_lambda_beyond_int64_products(self, capsys):
+        # lambda^2 > 2^63: every verdict must still be exact
+        code, out, _ = invoke(capsys, "induce", "--p", "8589934609", "--t", "58057635973",
+                              "--n", "4", "--lambda", "240518169053")
+        assert code == 0
+        assert json.loads(out)["verdicts"] == {
+            "tame_relation": True,
+            "gram_preserved": True,
+            "commutant_dimension": 1,
+            "tau_projective_order": 8589934609,
+            "phi_projective_order": 4,
+        }
+
     def test_invalid_order_rejected(self, capsys):
         code, _, err = invoke(capsys, "induce", "--p", "5", "--t", "11", "--n", "4")
         assert code == 1 and "order" in err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthoreps.arith import multiplicative_order
+from orthoreps.arith import is_prime, multiplicative_order
 from orthoreps.induced import (
     MonomialRep,
     build_induced_rep,
@@ -20,6 +22,70 @@ def brute_order(mat, lam, limit=500):
             return d
         acc = acc @ mat % lam
     raise AssertionError("no finite order found")
+
+
+# Dense reference solvers: int64 matrices, so only for small lambda.
+
+def _rank_mod(matrix: np.ndarray, lam: int) -> int:
+    """Rank over F_lambda by Gaussian elimination; rows stay int64 mod lam."""
+    m = matrix % lam
+    rows, cols = m.shape
+    rank = 0
+    for col in range(cols):
+        piv = None
+        for r in range(rank, rows):
+            if m[r, col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[[rank, piv]] = m[[piv, rank]]
+        inv = pow(int(m[rank, col]), lam - 2, lam)
+        m[rank] = m[rank] * inv % lam
+        hits = np.nonzero(m[:, col])[0]
+        hits = hits[hits != rank]
+        if hits.size:
+            m[hits] = (m[hits] - np.outer(m[hits, col], m[rank])) % lam
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def dense_commutant_dimension(rep, use=("tau", "phi")):
+    """n^2 minus the rank of the stacked kron systems X g - g X = 0."""
+    lam, n = rep.params.lam, rep.n
+    eye = np.eye(n, dtype=np.int64)
+    blocks = [(np.kron(eye, g) - np.kron(g.T, eye)) % lam for g in (getattr(rep, u) for u in use)]
+    return n * n - _rank_mod(np.vstack(blocks), lam)
+
+
+def dense_projective_order(rep, which, limit=None):
+    """Least d whose matrix power g^d is scalar, by repeated products."""
+    g = getattr(rep, which)
+    lam = rep.params.lam
+    acc = g.copy()
+    for d in range(1, (limit or rep.params.p * rep.n + 1) + 1):
+        diag = np.diag(acc)
+        if bool((acc == np.diag(diag)).all()) and len(set(diag.tolist())) == 1:
+            return d
+        acc = acc @ g % lam
+    raise AssertionError(f"no scalar power of {which}")
+
+
+def _valid_cases(p_below, t_below, n_max):
+    primes = [q for q in range(2, max(p_below, t_below)) if is_prime(q)]
+    return [(p, t, n) for p in primes if 3 <= p < p_below for t in primes if t < t_below and t != p
+            for n in [multiplicative_order(t, p)] if n % 2 == 0 and n <= n_max]
+
+
+VALID_CASES = _valid_cases(200, 300, 36)
+
+
+def _with(rep, n=None, **arrays):
+    """rep with some generator arrays (and their size n) replaced, unchecked."""
+    fields = {"tau": rep.tau, "phi": rep.phi, "gram": rep.gram, **arrays}
+    return MonomialRep(params=rep.params, n=n or rep.n, exponents=rep.exponents, **fields)
 
 
 class TestConstruction:
@@ -75,15 +141,7 @@ class TestVerification:
 
     def test_identity_gram_not_preserved(self):
         rep = build_induced_rep(5, 3, 4, 11)
-        broken = MonomialRep(
-            params=rep.params,
-            n=rep.n,
-            exponents=rep.exponents,
-            tau=rep.tau,
-            phi=rep.phi,
-            gram=np.eye(4, dtype=np.int64),
-        )
-        assert not verify_orthogonality(broken)
+        assert not verify_orthogonality(_with(rep, gram=np.eye(4, dtype=np.int64)))
 
     def test_gram_is_symmetric_zero_diagonal_unimodular(self):
         for p, t, n in [(5, 3, 4), (13, 2, 12)]:
@@ -118,15 +176,85 @@ class TestVerification:
 
     def test_projective_order_of_identity_like(self):
         rep = build_induced_rep(3, 2, 2)
-        scalars = MonomialRep(
-            params=rep.params,
-            n=rep.n,
-            exponents=rep.exponents,
-            tau=np.eye(2, dtype=np.int64) * 3,
-            phi=rep.phi,
-            gram=rep.gram,
-        )
+        scalars = _with(rep, tau=np.eye(2, dtype=np.int64) * 3)
         assert projective_order(scalars, "tau") == 1
+
+
+class TestDenseOracles:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(VALID_CASES))
+    def test_verdicts_match_dense_solve_and_power_loop(self, case):
+        rep = build_induced_rep(*case)
+        for use in (("tau",), ("phi",), ("tau", "phi")):
+            assert commutant_dimension(rep, use) == dense_commutant_dimension(rep, use), use
+        for which in ("tau", "phi"):
+            assert projective_order(rep, which) == dense_projective_order(rep, which), which
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(5, 3, 4, 11), (7, 3, 6, 43), (3, 2, 2, 7), (5, 2, 4, 61)]), st.data())
+    def test_random_monomial_generators(self, case, data):
+        # arbitrary permutations and coefficients: the weighted cycles of the
+        # commutant walk need not close, and the cycles of sigma differ in length
+        base = build_induced_rep(*case)
+        lam = base.params.lam
+        n = data.draw(st.integers(1, 6))
+        arrays = {}
+        for name in ("tau", "phi"):
+            sigma = data.draw(st.permutations(range(n)))
+            coeffs = data.draw(st.lists(st.integers(1, lam - 1), min_size=n, max_size=n))
+            arr = np.zeros((n, n), dtype=np.int64)
+            arr[sigma, range(n)] = coeffs
+            arrays[name] = arr
+        rep = _with(base, n=n, gram=np.eye(n, dtype=np.int64), **arrays)
+        for use in (("tau",), ("phi",), ("tau", "phi")):
+            assert commutant_dimension(rep, use) == dense_commutant_dimension(rep, use), use
+        limit = 720 * (lam - 1)  # 6! bounds the lcm of the cycle lengths
+        for which in ("tau", "phi"):
+            assert projective_order(rep, which) == dense_projective_order(rep, which, limit), which
+
+    def test_hand_built_reps(self):
+        rep = build_induced_rep(5, 3, 4, 11)
+        scalar = _with(rep, tau=np.eye(4, dtype=np.int64) * 4)
+        identity_gram = _with(rep, gram=np.eye(4, dtype=np.int64))
+        for hand in (scalar, identity_gram):
+            for use in (("tau",), ("phi",), ("tau", "phi")):
+                assert commutant_dimension(hand, use) == dense_commutant_dimension(hand, use)
+            for which in ("tau", "phi", "gram"):
+                assert projective_order(hand, which) == dense_projective_order(hand, which)
+        assert commutant_dimension(scalar) == 4  # scalar tau leaves the circulants
+        assert commutant_dimension(scalar, use=("tau",)) == 16
+        assert projective_order(identity_gram, "gram") == 1
+        assert tame_relation_holds(scalar) is False
+        assert verify_orthogonality(scalar) is False  # 4 * 4 = 5 != 1 mod 11
+        # 2 phi still conjugates tau to tau^t, but scales the form by 4
+        doubled = _with(rep, phi=rep.phi * 2)
+        assert tame_relation_holds(doubled) is True
+        assert verify_orthogonality(doubled) is False
+        assert projective_order(doubled, "phi") == 4
+
+
+class TestNonMonomial:
+    @pytest.mark.parametrize("name", ["tau", "phi", "gram"])
+    @pytest.mark.parametrize("defect", ["zero column", "two in a row", "entry equal to lambda"])
+    def test_named_value_error(self, name, defect):
+        rep = build_induced_rep(5, 3, 4, 11)
+        arr = getattr(rep, name).copy()
+        row, col = np.argwhere(arr)[0]
+        if defect == "zero column":
+            arr[:, col] = 0
+        elif defect == "two in a row":
+            arr[row, (col + 1) % 4] = 1
+        else:
+            arr[row, col] = 11
+        broken = _with(rep, **{name: arr})
+        calls = [lambda: verify_orthogonality(broken)]
+        if name != "gram":
+            calls += [lambda: tame_relation_holds(broken),
+                      lambda: commutant_dimension(broken, use=(name,)),
+                      lambda: projective_order(broken, name)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{name} is not monomial"):
+                call()
 
 
 class TestJson:
