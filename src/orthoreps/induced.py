@@ -84,10 +84,25 @@ def _default_lambda(p: int, n: int) -> int:
 
 
 def _smallest_zeta(p: int, lam: int) -> int:
-    for z in range(2, lam):
-        if pow(z, p, lam) == 1:
-            return z
-    raise AssertionError(f"no element of order {p} in F_{lam}; lambda = 1 (mod p) violated")
+    """The least z with z^p = 1 != z in F_lambda, by the cheaper of two exact routes.
+
+    Scanning z = 2, 3, ... takes about lambda/p steps.  The order-p elements
+    are also g^1, ..., g^(p-1) for g = a^((lambda-1)/p), the first a giving
+    g != 1; their least takes p steps.
+    """
+    if p * p > lam:
+        for z in range(2, lam):
+            if pow(z, p, lam) == 1:
+                return z
+        raise AssertionError(f"no element of order {p} in F_{lam}; lambda = 1 (mod p) violated")
+    a = 2
+    while (g := pow(a, (lam - 1) // p, lam)) == 1:
+        a += 1
+    least, z = g, g
+    for _ in range(p - 2):
+        z = z * g % lam
+        least = min(least, z)
+    return least
 
 
 def build_induced_rep(p: int, t: int, n: int, lam: int | None = None) -> MonomialRep:
@@ -101,6 +116,8 @@ def build_induced_rep(p: int, t: int, n: int, lam: int | None = None) -> Monomia
     """
     if lam is None:
         lam = _default_lambda(p, n)
+    if lam >= 1 << 63:
+        raise ValueError(f"lambda={lam} is not below 2^63, so the int64 tau cannot hold its entries")
     params = TameParameters(p=p, t=t, n=n, lam=lam, zeta=_smallest_zeta(p, lam))
 
     exponents = tuple(pow(t, i, p) for i in range(n))

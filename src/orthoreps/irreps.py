@@ -98,34 +98,28 @@ def _search_weights(datum: RootDatum, bound: int) -> list[tuple[tuple[int, ...],
     def exact_dim(pair: np.ndarray) -> int:
         return dim_from_pairings(heights, pair)
 
-    # Confirm the float prescreen exactly at the boundary.
-    active: list[int] = []
-    for k in range(maybe.size):
-        if exact_dim(sub[:, k]) <= bound:
-            active.append(k)
-    if not active:
-        return [(zero, 1)]
-    sub = sub[:, active]
-    act_cols = [int(maybe[k]) for k in active]
+    # Confirm the float prescreen exactly at the boundary; the confirmed
+    # fundamental weights are the walk's first level.
+    first = [(k, d) for k in range(maybe.size) if (d := exact_dim(sub[:, k])) <= bound]
+    cols = [int(maybe[k]) for k, _ in first]
+    sub = sub[:, [k for k, _ in first]]
 
+    def bump(w: tuple[int, ...], j: int) -> tuple[int, ...]:
+        c = cols[j]
+        return w[:c] + (w[c] + 1,) + w[c + 1:]
+
+    # Hits still to extend, each in its columns start and above.
+    stack = [(bump(zero, j), sub[:, j], d, j) for j, (_, d) in enumerate(first)]
     found: list[tuple[tuple[int, ...], int]] = [(zero, 1)]
-    zero_pair = np.zeros(sub.shape[0], dtype=np.int64)
-    stack: list[tuple[tuple[int, ...], np.ndarray, int]] = [((0,) * len(active), zero_pair, 0)]
     while stack:
-        wloc, pair, start = stack.pop()
-        for j in range(start, len(active)):
-            child_pair = pair + sub[:, j]
-            dim = exact_dim(child_pair)
-            if dim > bound:
-                continue
-            child = list(wloc)
-            child[j] += 1
-            full = [0] * m
-            for k, c in zip(act_cols, child):
-                full[k] = c
-            found.append((tuple(full), dim))
-            if dim < bound:
-                stack.append((tuple(child), child_pair, j))
+        w, pair, dim, start = stack.pop()
+        found.append((w, dim))
+        if dim < bound:
+            for j in range(start, len(cols)):
+                child_pair = pair + sub[:, j]
+                d = exact_dim(child_pair)
+                if d <= bound:
+                    stack.append((bump(w, j), child_pair, d, j))
     return found
 
 

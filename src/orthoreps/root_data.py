@@ -205,9 +205,9 @@ def _string_closure(cartan: np.ndarray) -> np.ndarray:
     """All positive roots of the system with the given Cartan matrix.
 
     Rows come out graded by height and lexicographically sorted within each
-    height level.  String descent depths (p-values) are carried along
-    incrementally, so no set lookups are needed: beta + alpha_k is a root
-    iff p(beta, k) - <beta, alpha_k^vee> > 0.
+    height level, in a column-major array.  String descent depths (p-values)
+    are carried along incrementally, so no set lookups are needed:
+    beta + alpha_k is a root iff p(beta, k) - <beta, alpha_k^vee> > 0.
     """
     m = cartan.shape[0]
     C = cartan.astype(np.int16)
@@ -238,7 +238,8 @@ def _string_closure(cartan: np.ndarray) -> np.ndarray:
         new_pvec[inv, ks] = pvec[rs, ks] + 1  # each (root, direction) has a unique parent
         chunks.append(uniq)
         level, pair, pvec = uniq, new_pair, new_pvec
-    return np.vstack(chunks)
+    out = np.empty((sum(len(c) for c in chunks), m), dtype=np.int16, order="F")
+    return np.concatenate(chunks, out=out)
 
 
 # Families whose sub-rank windows sit at the high end of the diagram (the
@@ -254,18 +255,19 @@ _BLOCK_CELLS = 1 << 18
 class _FamilyTable:
     """Positive-coroot table of one family at the largest rank built so far.
 
-    A row's need is the least rank whose window holds it.  Rank r's rows are
-    by_need[:upto[r]] (in need order).  Over those rows, two_rho_cum[r, c]
-    sums row[c] and fund_cum[r, c] sums log1p(row[c] / height), so the
-    window columns of row r of these prefix tables give rank r's 2rho^vee
-    and the log dimensions of its fundamental modules.
+    A row's need is the least rank whose window holds it, so rank r's rows
+    are those with need <= r, in table order.  The matrix is column-major:
+    one column of every row is one contiguous read.  Over rank r's rows,
+    two_rho_cum[r, c] sums row[c] and fund_cum[r, c] sums
+    log1p(row[c] / height), so the window columns of row r of these prefix
+    tables give rank r's 2rho^vee and the log dimensions of its fundamental
+    modules.
     """
 
     top: int
-    matrix: np.ndarray  # N x top, int16, sorted by (height, lex)
+    matrix: np.ndarray  # N x top, int16, Fortran order, sorted by (height, lex)
     heights: np.ndarray  # N, int64
-    by_need: np.ndarray  # N, stable argsort of the rows' need
-    upto: np.ndarray  # top + 1, rows with need <= r
+    need: np.ndarray  # N, int16, least rank whose window holds the row
     two_rho_cum: np.ndarray  # (top + 1) x top, int64
     fund_cum: np.ndarray  # (top + 1) x top, float64
 
@@ -296,11 +298,10 @@ def _build_table(family: str, top: int) -> _FamilyTable:
                                 minlength=log_sums.size)
     two_rho_cum = np.cumsum(coord_sums.astype(np.int64).reshape(top + 1, top), axis=0)
     fund_cum = np.cumsum(log_sums.reshape(top + 1, top), axis=0)
-    by_need = np.argsort(need, kind="stable")
-    upto = np.cumsum(np.bincount(need, minlength=top + 1))
-    for arr in (mat, heights, by_need, upto, two_rho_cum, fund_cum):
+    need = need.astype(np.int16)  # like the matrix; each rank scan reads 2 bytes a row
+    for arr in (mat, heights, need, two_rho_cum, fund_cum):
         arr.flags.writeable = False
-    return _FamilyTable(top, mat, heights, by_need, upto, two_rho_cum, fund_cum)
+    return _FamilyTable(top, mat, heights, need, two_rho_cum, fund_cum)
 
 
 def _family_table(family: str, rank: int) -> _FamilyTable:
@@ -339,16 +340,16 @@ def coroot_columns(
     """
     tab = _family_table(type_id.family, type_id.rank)
     lo, hi = _window(type_id.family, type_id.rank, tab.top)
-    rows = tab.by_need[:tab.upto[type_id.rank]]
+    keep = tab.need <= type_id.rank
     if cols is None:
-        rows = np.sort(rows)
+        rows = keep.nonzero()[0]
         sub = tab.matrix[rows, lo:hi]
     else:
         cols = np.asarray(cols, dtype=np.intp) + lo
-        meet = np.zeros(rows.size, dtype=bool)
-        for c in cols:  # one column at a time: any(axis=1) over a few columns is slow
-            meet |= tab.matrix[rows, c] != 0
-        rows = np.sort(rows[meet])
+        meet = np.zeros(keep.size, dtype=bool)
+        for c in cols:  # whole contiguous columns first, then the rank's rows
+            meet |= tab.matrix[:, c] != 0
+        rows = (meet & keep).nonzero()[0]
         sub = tab.matrix[np.ix_(rows, cols)]
     heights = tab.heights[rows]
     sub.flags.writeable = heights.flags.writeable = False
@@ -356,7 +357,7 @@ def coroot_columns(
 
 
 def _validate(type_id: LieType, tab: _FamilyTable, perm: tuple[int, ...]) -> None:
-    rows = tab.by_need[:tab.upto[type_id.rank]]
+    rows = (tab.need <= type_id.rank).nonzero()[0]
     lo, hi = _window(type_id.family, type_id.rank, tab.top)
     heights = tab.heights[rows]
     n_expected = positive_coroot_count(type_id)

@@ -7,6 +7,7 @@ dominance comparison solves the Cartan system over exact rationals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,31 +43,29 @@ def as_weight(weight: Sequence[int], rank: int) -> Weight:
     return w
 
 
-def _balanced_prod(values: list[int]) -> int:
-    """Product with balanced pairing; keeps big-integer multiplies cheap."""
-    if not values:
-        return 1
-    while len(values) > 1:
-        nxt = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
-        if len(values) % 2:
-            nxt.append(values[-1])
-        values = nxt
-    return values[0]
-
-
 def dim_from_pairings(heights: np.ndarray, pairings: np.ndarray) -> int:
     """Exact dimension from <rho, a^vee> and <lambda, a^vee> over positive coroots.
 
-    Coroots pairing to zero with lambda contribute a factor 1 and are
-    skipped; the final division is checked to be exact.
+    The dimension is the product of (h + s) / h over the coroots pairing
+    nonzero with lambda (s >= 0, as lambda is dominant).  Equal factors above
+    and below cancel first: e[v] counts v among the h + s less v among the h,
+    so only the v with e[v] != 0 are multiplied out.  The final division is
+    checked to be exact.
     """
-    nz = np.nonzero(pairings)[0]
+    nz = pairings.nonzero()[0]
     if nz.size == 0:
         return 1
-    hs = heights[nz].tolist()
-    ss = pairings[nz].tolist()
-    numer = _balanced_prod([h + s for h, s in zip(hs, ss)])
-    denom = _balanced_prod(hs)
+    hs = heights[nz]
+    tops = hs + pairings[nz]
+    size = int(tops.max()) + 1
+    e = np.bincount(tops, minlength=size) - np.bincount(hs, minlength=size)
+    numer = denom = 1
+    vs = e.nonzero()[0]
+    for v, k in zip(vs.tolist(), e[vs].tolist()):
+        if k > 0:
+            numer *= v**k
+        else:
+            denom *= v**-k
     dim, rem = divmod(numer, denom)
     if rem:
         raise ArithmeticError("Weyl dimension product is not integral; root data corrupt")

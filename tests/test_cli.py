@@ -118,6 +118,27 @@ class TestInduceCommand:
             "phi_projective_order": 4,
         }
 
+    def test_lambda_from_2_63_rejected(self, capsys):
+        # 2^63 + 123 is a prime = 1 (mod 5), but tau is an int64 array
+        code, out, err = invoke(capsys, "induce", "--p", "5", "--t", "3", "--n", "4",
+                                "--lambda", "9223372036854775931")
+        assert code == 1 and out == ""
+        assert "lambda=9223372036854775931 is not below 2^63" in err
+
+    def test_lambda_just_below_2_63(self, capsys):
+        # zeta comes from a generator of the order-5 subgroup, not a scan of
+        # about lambda/5 candidates
+        lam = 9223372036854775421  # the largest prime = 1 (mod 5) below 2^63
+        code, out, _ = invoke(capsys, "induce", "--p", "5", "--t", "3", "--n", "4",
+                              "--lambda", str(lam))
+        assert code == 0
+        payload = json.loads(out)
+        zeta = payload["zeta"]
+        assert payload["lambda"] == lam and zeta == 2210855924043678662
+        assert min(pow(zeta, j, lam) for j in range(1, 5)) == zeta
+        assert all(v for v in payload["verdicts"].values())
+        assert payload["verdicts"]["tau_projective_order"] == 5
+
     def test_invalid_order_rejected(self, capsys):
         code, _, err = invoke(capsys, "induce", "--p", "5", "--t", "11", "--n", "4")
         assert code == 1 and "order" in err

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from orthoreps.arith import is_prime, multiplicative_order
 from orthoreps.induced import (
     MonomialRep,
+    _smallest_zeta,
     build_induced_rep,
     commutant_dimension,
     projective_order,
@@ -126,6 +127,28 @@ class TestConstruction:
             build_induced_rep(5, 4, 4)
         with pytest.raises(ValueError):
             build_induced_rep(9, 2, 4)
+
+
+def scan_zeta(p, lam):
+    """Oracle: the least z >= 2 with z^p = 1 in F_lambda, by a plain scan."""
+    return next(z for z in range(2, lam) if pow(z, p, lam) == 1)
+
+
+# Primes lambda = 1 (mod p) on both sides of p^2, where the route switches.
+ZETA_CASES = [(p, lam) for p in range(3, 60) if is_prime(p)
+              for lam in range(2 * p + 1, 8000, 2 * p) if is_prime(lam)]
+
+
+class TestSmallestZeta:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(ZETA_CASES))
+    def test_both_routes_match_the_scan(self, case):
+        p, lam = case
+        assert _smallest_zeta(p, lam) == scan_zeta(p, lam)
+
+    def test_lambda_from_2_63_rejected(self):
+        with pytest.raises(ValueError, match="not below 2\\^63"):
+            build_induced_rep(5, 3, 4, 1 << 63)
 
 
 class TestVerification:

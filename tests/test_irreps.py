@@ -117,6 +117,25 @@ def test_large_rank_bound_covers_both_ends():
     assert weights == {w1, w291}
 
 
+def test_first_level_dims_are_not_recomputed(monkeypatch):
+    # A200 at 292: omega_1 and omega_200 (dim 201) pass the prescreen.  Two
+    # exact products confirm them, and their dims start the walk; three more
+    # try 2 omega_1, omega_1 + omega_200 and 2 omega_200.
+    import orthoreps.irreps as irreps_module
+
+    calls = []
+    real = irreps_module.dim_from_pairings
+
+    def counted(heights, pairings):
+        calls.append(1)
+        return real(heights, pairings)
+
+    monkeypatch.setattr(irreps_module, "dim_from_pairings", counted)
+    cands = enumerate_restricted(LieType("A", 200), 292)
+    assert [c.dim for c in cands] == [1, 201, 201]
+    assert len(calls) == 5
+
+
 def fund_log_by_columns(coroots, heights):
     """Oracle: log dimension of each fundamental module, one column at a time.
 

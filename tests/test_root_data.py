@@ -8,8 +8,10 @@ from orthoreps.root_data import (
     _cartan_matrix,
     _string_closure,
     build_root_datum,
+    coroot_columns,
     diagram_automorphism,
     positive_coroot_count,
+    prewarm_family,
 )
 from orthoreps.weights import weyl_dimension
 
@@ -202,6 +204,38 @@ def test_datum_survives_family_growth(type_id, top):
     rd.prewarm_family(type_id.family, top)
     assert snapshot(datum) == before
     assert snapshot(build_root_datum(type_id)) == before
+
+
+# Rank ranges per family, and the larger rank each family table is built at
+# first, so that most draws read a sub-rank window of a bigger table.
+FAMILY_RANKS = {"A": (1, 40, 50), "B": (2, 25, 30), "C": (2, 25, 30), "D": (4, 25, 30),
+                "E": (6, 8, 8), "F": (4, 4, 4), "G": (2, 2, 2)}
+
+
+@st.composite
+def type_and_columns(draw):
+    fam = draw(st.sampled_from(sorted(FAMILY_RANKS)))
+    lo, hi, _ = FAMILY_RANKS[fam]
+    t = LieType(fam, draw(st.integers(lo, hi)))
+    cols = draw(st.lists(st.integers(0, t.rank - 1), unique=True, max_size=min(t.rank, 6)))
+    return t, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(type_and_columns())
+def test_column_subset_matches_mask_oracle(tc):
+    # Oracle: all rows of the type, masked to those pairing nonzero with some
+    # omega_j (j in cols), then the cols in the order given.
+    t, cols = tc
+    prewarm_family(t.family, FAMILY_RANKS[t.family][2])
+    full, heights = coroot_columns(t)
+    sub, sub_heights = coroot_columns(t, cols)
+    meet = (full[:, cols] != 0).any(axis=1)
+    want = full[meet][:, cols]
+    assert sub.shape == want.shape and sub.dtype == want.dtype
+    assert np.array_equal(sub, want)
+    assert np.array_equal(sub_heights, heights[meet])
+    assert not sub.flags.writeable and not sub_heights.flags.writeable
 
 
 def test_datum_reads_stay_whole_while_the_family_grows():

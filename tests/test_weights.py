@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoreps.root_data import LieType, build_root_datum
+from orthoreps.root_data import LieType, build_root_datum, prewarm_family
 from orthoreps.weights import (
+    dim_from_pairings,
     dominance_compare,
     fs_indicator,
     is_q_restricted,
@@ -90,6 +92,72 @@ class TestWeylDimension:
         t, w = tw
         datum = build_root_datum(t)
         assert weyl_dimension(datum, w) == weyl_dimension(datum, minus_w0(t, w))
+
+
+def _balanced_prod(values: list[int]) -> int:
+    """Product with balanced pairing; keeps big-integer multiplies cheap."""
+    if not values:
+        return 1
+    while len(values) > 1:
+        nxt = [values[i] * values[i + 1] for i in range(0, len(values) - 1, 2)]
+        if len(values) % 2:
+            nxt.append(values[-1])
+        values = nxt
+    return values[0]
+
+
+def balanced_dim_from_pairings(heights, pairings):
+    """Oracle: the Weyl product as two balanced products over the nonzero
+    pairings, numerator prod(h + s) and denominator prod(h), divided once."""
+    nz = np.nonzero(pairings)[0]
+    if nz.size == 0:
+        return 1
+    hs = heights[nz].tolist()
+    ss = pairings[nz].tolist()
+    dim, rem = divmod(_balanced_prod([h + s for h, s in zip(hs, ss)]), _balanced_prod(hs))
+    if rem:
+        raise ArithmeticError("Weyl dimension product is not integral")
+    return dim
+
+
+# Rank ranges per family, and the larger rank each family table is built at
+# first, so that most draws read a sub-rank window of a bigger table.
+FAMILY_RANKS = {"A": (1, 60, 80), "B": (2, 30, 40), "C": (2, 30, 40), "D": (4, 30, 40),
+                "E": (6, 8, 8), "F": (4, 4, 4), "G": (2, 2, 2)}
+
+
+@st.composite
+def any_family_weight(draw, max_coeff=6):
+    fam = draw(st.sampled_from(sorted(FAMILY_RANKS)))
+    lo, hi, _ = FAMILY_RANKS[fam]
+    t = LieType(fam, draw(st.integers(lo, hi)))
+    coeff = st.integers(0, max_coeff) | st.just(0)
+    return t, tuple(draw(st.lists(coeff, min_size=t.rank, max_size=t.rank)))
+
+
+class TestDimFromPairings:
+    @settings(max_examples=150, deadline=None)
+    @given(any_family_weight())
+    def test_matches_balanced_products(self, tw):
+        t, w = tw
+        prewarm_family(t.family, FAMILY_RANKS[t.family][2])
+        datum = build_root_datum(t)
+        pair = datum.positive_coroots @ np.asarray(w, dtype=np.int64)
+        assert dim_from_pairings(datum.rho_pairings, pair) == balanced_dim_from_pairings(
+            datum.rho_pairings, pair)
+
+    @pytest.mark.parametrize("type_id", [LieType("A", 1), LieType("A", 2), LieType("B", 3),
+                                         LieType("G", 2), LieType("E", 6)], ids=str)
+    def test_corrupted_heights_raise(self, type_id):
+        datum = build_root_datum(type_id)
+        pair = datum.positive_coroots @ np.asarray(_w(type_id.rank, n1=1), dtype=np.int64)
+        bumped = datum.rho_pairings.copy()
+        bumped[-1] += 1  # the highest coroot pairs nonzero with omega_1
+        for heights in (bumped, 2 * datum.rho_pairings):
+            with pytest.raises(ArithmeticError):
+                balanced_dim_from_pairings(heights, pair)
+            with pytest.raises(ArithmeticError):
+                dim_from_pairings(heights, pair)
 
 
 class TestDominance:
