@@ -27,6 +27,9 @@ __all__ = [
 
 # Cap keeps the int64 pairing mat-vec exact; far above any realistic weight.
 _COEFF_LIMIT = 1 << 40
+# Above this largest h + s, dim_from_pairings counts the distinct values
+# rather than bincounting every value from 0 up.
+_DENSE_LIMIT = 1 << 16
 
 Weight = tuple[int, ...]
 
@@ -50,18 +53,23 @@ def dim_from_pairings(heights: np.ndarray, pairings: np.ndarray) -> int:
     nonzero with lambda (s >= 0, as lambda is dominant).  Equal factors above
     and below cancel first: e[v] counts v among the h + s less v among the h,
     so only the v with e[v] != 0 are multiplied out.  The final division is
-    checked to be exact.
+    checked to be exact.  The counts take O(_DENSE_LIMIT + pairings) memory
+    whatever the size of the coefficients.
     """
     nz = pairings.nonzero()[0]
     if nz.size == 0:
         return 1
     hs = heights[nz]
-    tops = hs + pairings[nz]
-    size = int(tops.max()) + 1
-    e = np.bincount(tops, minlength=size) - np.bincount(hs, minlength=size)
+    both = np.concatenate((hs + pairings[nz], hs))
+    if both.max() < _DENSE_LIMIT:
+        vals, idx = np.arange(both.max() + 1), both
+    else:
+        vals, idx = np.unique(both, return_inverse=True)
+    k = nz.size
+    e = np.bincount(idx[:k], minlength=vals.size) - np.bincount(idx[k:], minlength=vals.size)
     numer = denom = 1
     vs = e.nonzero()[0]
-    for v, k in zip(vs.tolist(), e[vs].tolist()):
+    for v, k in zip(vals[vs].tolist(), e[vs].tolist()):
         if k > 0:
             numer *= v**k
         else:

@@ -279,6 +279,10 @@ class TestExceptions:
         with pytest.raises(ValueError, match="line 2.*exceeds the generic"):
             load_exceptions(rows)
 
+    def test_huge_weight_row_checked(self):
+        recs = load_exceptions([EXC_HEADER, 'A,1,"[1000000000000]",7,1'])
+        assert recs == (ExceptionRecord(LieType("A", 1), (10**12,), 7, 1),)
+
     def test_duplicate_rejected(self):
         rows = [EXC_HEADER, "B,2,[2,2],7,71", "B,2,[2,2],7,70"]
         with pytest.raises(ValueError, match="duplicate.*line 2"):

@@ -11,9 +11,10 @@ from orthoreps.root_data import (
     coroot_columns,
     diagram_automorphism,
     positive_coroot_count,
-    prewarm_family,
 )
 from orthoreps.weights import weyl_dimension
+
+from lie_strategies import any_family_type, prewarm_larger
 
 SMALL_TYPES = [
     LieType("A", 1), LieType("A", 2), LieType("A", 3), LieType("A", 4),
@@ -206,17 +207,9 @@ def test_datum_survives_family_growth(type_id, top):
     assert snapshot(build_root_datum(type_id)) == before
 
 
-# Rank ranges per family, and the larger rank each family table is built at
-# first, so that most draws read a sub-rank window of a bigger table.
-FAMILY_RANKS = {"A": (1, 40, 50), "B": (2, 25, 30), "C": (2, 25, 30), "D": (4, 25, 30),
-                "E": (6, 8, 8), "F": (4, 4, 4), "G": (2, 2, 2)}
-
-
 @st.composite
 def type_and_columns(draw):
-    fam = draw(st.sampled_from(sorted(FAMILY_RANKS)))
-    lo, hi, _ = FAMILY_RANKS[fam]
-    t = LieType(fam, draw(st.integers(lo, hi)))
+    t = draw(any_family_type())
     cols = draw(st.lists(st.integers(0, t.rank - 1), unique=True, max_size=min(t.rank, 6)))
     return t, cols
 
@@ -227,7 +220,7 @@ def test_column_subset_matches_mask_oracle(tc):
     # Oracle: all rows of the type, masked to those pairing nonzero with some
     # omega_j (j in cols), then the cols in the order given.
     t, cols = tc
-    prewarm_family(t.family, FAMILY_RANKS[t.family][2])
+    prewarm_larger(t)
     full, heights = coroot_columns(t)
     sub, sub_heights = coroot_columns(t, cols)
     meet = (full[:, cols] != 0).any(axis=1)

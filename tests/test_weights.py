@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoreps.root_data import LieType, build_root_datum, prewarm_family
+from orthoreps.root_data import LieType, build_root_datum
 from orthoreps.weights import (
     dim_from_pairings,
     dominance_compare,
@@ -13,6 +13,8 @@ from orthoreps.weights import (
     minus_w0,
     weyl_dimension,
 )
+
+from lie_strategies import any_family_type, prewarm_larger
 
 TYPES = [
     LieType("A", 1), LieType("A", 2), LieType("A", 3), LieType("A", 5),
@@ -120,18 +122,10 @@ def balanced_dim_from_pairings(heights, pairings):
     return dim
 
 
-# Rank ranges per family, and the larger rank each family table is built at
-# first, so that most draws read a sub-rank window of a bigger table.
-FAMILY_RANKS = {"A": (1, 60, 80), "B": (2, 30, 40), "C": (2, 30, 40), "D": (4, 30, 40),
-                "E": (6, 8, 8), "F": (4, 4, 4), "G": (2, 2, 2)}
-
-
 @st.composite
 def any_family_weight(draw, max_coeff=6):
-    fam = draw(st.sampled_from(sorted(FAMILY_RANKS)))
-    lo, hi, _ = FAMILY_RANKS[fam]
-    t = LieType(fam, draw(st.integers(lo, hi)))
-    coeff = st.integers(0, max_coeff) | st.just(0)
+    t = draw(any_family_type())
+    coeff = st.integers(0, max_coeff) | st.just(0) | st.integers(1 << 16, 1 << 40)
     return t, tuple(draw(st.lists(coeff, min_size=t.rank, max_size=t.rank)))
 
 
@@ -140,11 +134,22 @@ class TestDimFromPairings:
     @given(any_family_weight())
     def test_matches_balanced_products(self, tw):
         t, w = tw
-        prewarm_family(t.family, FAMILY_RANKS[t.family][2])
+        prewarm_larger(t)
         datum = build_root_datum(t)
         pair = datum.positive_coroots @ np.asarray(w, dtype=np.int64)
         assert dim_from_pairings(datum.rho_pairings, pair) == balanced_dim_from_pairings(
             datum.rho_pairings, pair)
+
+    def test_huge_coefficients(self):
+        # The counts are indexed by the distinct values once h + s is large,
+        # so memory does not grow with the coefficients.
+        assert weyl_dimension(build_root_datum(LieType("A", 1)), (2**40,)) == 2**40 + 1
+        for type_id, w in ((LieType("D", 6), (10**12, 0, 3, 0, 0, 10**12 - 1)),
+                           (LieType("E", 7), (0, 1, 0, 0, 0, 0, 10**12)),
+                           (LieType("A", 30), _w(30, n1=10**12, n17=2, n30=5))):
+            datum = build_root_datum(type_id)
+            pair = datum.positive_coroots @ np.asarray(w, dtype=np.int64)
+            assert weyl_dimension(datum, w) == balanced_dim_from_pairings(datum.rho_pairings, pair)
 
     @pytest.mark.parametrize("type_id", [LieType("A", 1), LieType("A", 2), LieType("B", 3),
                                          LieType("G", 2), LieType("E", 6)], ids=str)
