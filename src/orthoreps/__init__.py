@@ -41,13 +41,6 @@ from .steinberg import (
     theorem1_sweep,
     verify_theorem1,
 )
-from .weights import (
-    dominance_compare,
-    fs_indicator,
-    is_q_restricted,
-    is_self_dual,
-    minus_w0,
-    weyl_dimension,
-)
+from .weights import fs_indicator, is_self_dual, minus_w0, weyl_dimension
 
 __version__ = "0.1.0"

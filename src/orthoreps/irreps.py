@@ -3,8 +3,9 @@
 The search walks the dominant-weight lattice depth-first, incrementing one
 coordinate at a time; strict monotonicity of the Weyl dimension in every
 coordinate makes pruning at the bound exhaustive.  Coordinates whose
-fundamental weight already exceeds the bound can never appear in a hit, so
-the walk is confined to the "active" coordinates, which keeps scans over
+fundamental module already exceeds the bound can never appear in a hit, so
+the walk is confined to the "active" coordinates, read off the exact
+fundamental dimensions of the type's RootDatum, which keeps scans over
 large-rank types cheap.  Generic (characteristic-zero) dimensions are
 reported; known small-characteristic corrections are ingested from a CSV
 exceptions file rather than computed.
@@ -13,7 +14,6 @@ exceptions file rather than computed.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -36,8 +36,6 @@ __all__ = [
 # Dimensions are generic for characteristics above this floor; see the
 # exceptions file for the ingested non-generic corrections.
 GENERIC_CHAR_FLOOR = 20
-
-_LOG_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,24 +83,14 @@ class ExceptionRecord:
 
 def _search_weights(datum: RootDatum, bound: int) -> list[tuple[tuple[int, ...], int]]:
     """All dominant weights with dimension <= bound, with exact dimensions."""
-    m = datum.rank
-    log_bound = math.log(bound)
-    maybe = np.nonzero(datum.fund_log <= log_bound + _LOG_SLACK)[0]
-    zero = (0,) * m
-    if maybe.size == 0:
+    zero = (0,) * datum.rank
+    # The fundamental weights that fit are the walk's first level.
+    first = [(c, d) for c, d in enumerate(datum.fund_dims) if d <= bound]
+    if not first:
         return [(zero, 1)]
-
-    sub, heights = coroot_columns(datum.type_id, maybe)
+    cols = [c for c, _ in first]
+    sub, heights = coroot_columns(datum.type_id, cols)
     sub = sub.astype(np.int64)  # R x a
-
-    def exact_dim(pair: np.ndarray) -> int:
-        return dim_from_pairings(heights, pair)
-
-    # Confirm the float prescreen exactly at the boundary; the confirmed
-    # fundamental weights are the walk's first level.
-    first = [(k, d) for k in range(maybe.size) if (d := exact_dim(sub[:, k])) <= bound]
-    cols = [int(maybe[k]) for k, _ in first]
-    sub = sub[:, [k for k, _ in first]]
 
     def bump(w: tuple[int, ...], j: int) -> tuple[int, ...]:
         c = cols[j]
@@ -117,7 +105,7 @@ def _search_weights(datum: RootDatum, bound: int) -> list[tuple[tuple[int, ...],
         if dim < bound:
             for j in range(start, len(cols)):
                 child_pair = pair + sub[:, j]
-                d = exact_dim(child_pair)
+                d = dim_from_pairings(heights, child_pair)
                 if d <= bound:
                     stack.append((bump(w, j), child_pair, d, j))
     return found

@@ -1,22 +1,31 @@
 """Exact root-system data for the simple Lie types A-G.
 
-Positive coroots are generated, not transcribed: starting from the simple
-coroots of the dual root system, new coroots are added level by level in
-the height grading using the root-string criterion (beta + alpha_k is a
-coroot iff the string of beta through alpha_k descends further than the
-Cartan pairing allows).  The resulting table is ordered by height and then
-lexicographically, so output built on it is byte-stable across runs.
+The positive coroots of the classical types are written down, not searched
+for.  With e_0, e_1, ... the standard basis they are e_i - e_j for A_m,
+e_i -+ e_j and 2e_i for B_m, e_i -+ e_j and e_i for C_m, and e_i -+ e_j for
+D_m (i < j; Bourbaki, Planches I-IV).  In the simple-coroot basis each one
+is a step function of the column c: [c >= f] + [c >= p] - [c >= q] for three
+integers f <= p, q, so a call generates only the coroots that meet the
+columns it asks for, and the type's 2rho^vee and fundamental dimensions are
+closed forms in the rank.
 
+The exceptional types E6-E8, F4 and G2 (at most 120 coroots) are generated
+from their simple coroots, level by level in the height grading, by the
+root-string criterion (beta + alpha_k is a coroot iff the string of beta
+through alpha_k descends further than the Cartan pairing allows).
+
+Either way the coroots come out ordered by height and then
+lexicographically, so output built on them is byte-stable across runs.
 Simple roots are numbered in the Bourbaki convention throughout.  The
-stored Cartan matrix has entry ``cartan[i][j] = <alpha_j, alpha_i^vee>``
-(row = coroot index, column = root index), so the j-th column is the
-coordinate vector of alpha_j in the fundamental-weight basis.
+Cartan matrix has entry ``cartan[i][j] = <alpha_j, alpha_i^vee>`` (row =
+coroot index, column = root index), so the j-th column is the coordinate
+vector of alpha_j in the fundamental-weight basis.
 """
 
 from __future__ import annotations
 
+import math
 import re
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -78,42 +87,22 @@ class LieType:
 
 @dataclass(frozen=True, eq=False)
 class RootDatum:
-    """Immutable root-system data for one simple Lie type.
+    """Immutable per-type data for one simple Lie type.
 
     This is the package's one per-type record, and build_root_datum its one
-    per-type cache, so it holds only rank-sized data.  The coroots stay in
-    the family table, which prewarm_family may replace by a larger one, so
-    positive_coroots and rho_pairings are read from the current table (and
-    cartan is rebuilt) on each access, as read-only arrays.
-
-    positive_coroots holds one coroot per row, written in the simple-coroot
-    basis, so ``row[i] == <omega_i, coroot>``.  rho_pairings[r] is the
-    height ``<rho, coroot_r>`` and two_rho_check is the coordinate-wise sum
-    of all positive coroots, i.e. ``<omega_i, 2 rho^vee>``.  fund_log[i] is
-    the natural log of the dimension of the fundamental module omega_i.
+    per-type cache, so it holds only rank-sized data; coroot_columns
+    supplies the coroots themselves.  two_rho_check[i] is
+    ``<omega_i, 2 rho^vee>``, the i-th coordinate of the sum of the positive
+    coroots, and fund_dims[i] is the exact dimension of the fundamental
+    module L(omega_i).
     """
 
     type_id: LieType
     rank: int
     two_rho_check: tuple[int, ...]
-    fund_log: np.ndarray
+    fund_dims: tuple[int, ...]
     dynkin_symmetry: tuple[int, ...]
     epsilon: int
-    has_triality: bool
-
-    @property
-    def positive_coroots(self) -> np.ndarray:
-        return coroot_columns(self.type_id)[0]
-
-    @property
-    def rho_pairings(self) -> np.ndarray:
-        return coroot_columns(self.type_id)[1]
-
-    @property
-    def cartan(self) -> np.ndarray:
-        cartan = _cartan_matrix(self.type_id.family, self.rank)
-        cartan.flags.writeable = False
-        return cartan
 
 
 def positive_coroot_count(type_id: LieType) -> int:
@@ -242,133 +231,115 @@ def _string_closure(cartan: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks, out=out)
 
 
-# Families whose sub-rank windows sit at the high end of the diagram (the
-# short/long/fork end); A, E, F and G grow from the low end.
-_HIGH_END = ("B", "C", "D")
-
-# Table cells per np.nonzero pass while summing the prefix tables; bounds
-# the transient index arrays to a few MB.
-_BLOCK_CELLS = 1 << 18
-
-
-@dataclass(frozen=True)
-class _FamilyTable:
-    """Positive-coroot table of one family at the largest rank built so far.
-
-    A row's need is the least rank whose window holds it, so rank r's rows
-    are those with need <= r, in table order.  The matrix is column-major:
-    one column of every row is one contiguous read.  Over rank r's rows,
-    two_rho_cum[r, c] sums row[c] and fund_cum[r, c] sums
-    log1p(row[c] / height), so the window columns of row r of these prefix
-    tables give rank r's 2rho^vee and the log dimensions of its fundamental
-    modules.
-    """
-
-    top: int
-    matrix: np.ndarray  # N x top, int16, Fortran order, sorted by (height, lex)
-    heights: np.ndarray  # N, int64
-    need: np.ndarray  # N, int16, least rank whose window holds the row
-    two_rho_cum: np.ndarray  # (top + 1) x top, int64
-    fund_cum: np.ndarray  # (top + 1) x top, float64
-
-
-_tables: dict[str, _FamilyTable] = {}
-_tables_lock = threading.RLock()
-
-
-def _build_table(family: str, top: int) -> _FamilyTable:
-    mat = _string_closure(_cartan_matrix(family, top))
+@lru_cache(maxsize=None)
+def _closure_coroots(type_id: LieType) -> tuple[np.ndarray, np.ndarray]:
+    """Coroot rows and heights of an exceptional type, by string closure."""
+    mat = _string_closure(_cartan_matrix(type_id.family, type_id.rank))
+    if mat.shape[0] != positive_coroot_count(type_id):
+        raise AssertionError(f"{type_id}: generated {mat.shape[0]} positive coroots, "
+                             f"expected {positive_coroot_count(type_id)}")
     heights = mat.sum(axis=1, dtype=np.int64)
-    nz = mat != 0
-    if family in _HIGH_END:
-        need = top - nz.argmax(axis=1)  # top - first nonzero column
-    else:
-        need = top - nz[:, ::-1].argmax(axis=1)  # last nonzero column + 1
-    del nz
-    coord_sums = np.zeros((top + 1) * top)  # integer sums, exact in float64
-    log_sums = np.zeros((top + 1) * top)
-    step = max(1, _BLOCK_CELLS // top)
-    for start in range(0, mat.shape[0], step):
-        block = mat[start:start + step]
-        r, c = np.nonzero(block)
-        key = need[start + r] * top + c
-        vals = block[r, c]
-        coord_sums += np.bincount(key, weights=vals, minlength=coord_sums.size)
-        log_sums += np.bincount(key, weights=np.log1p(vals / heights[start + r]),
-                                minlength=log_sums.size)
-    two_rho_cum = np.cumsum(coord_sums.astype(np.int64).reshape(top + 1, top), axis=0)
-    fund_cum = np.cumsum(log_sums.reshape(top + 1, top), axis=0)
-    need = need.astype(np.int16)  # like the matrix; each rank scan reads 2 bytes a row
-    for arr in (mat, heights, need, two_rho_cum, fund_cum):
-        arr.flags.writeable = False
-    return _FamilyTable(top, mat, heights, need, two_rho_cum, fund_cum)
+    mat.flags.writeable = heights.flags.writeable = False
+    return mat, heights
 
 
-def _family_table(family: str, rank: int) -> _FamilyTable:
-    with _tables_lock:
-        tab = _tables.get(family)
-        if tab is None or tab.top < rank:
-            tab = _tables[family] = _build_table(family, rank)
-        return tab
+def _classical_steps(family: str, m: int, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(f, p, q, height) of the classical coroots that meet cols, in (height, lex) order.
+
+    A coroot's entry at column c is [c >= f] + [c >= p] - [c >= q], and it
+    is zero left of f, so only the f up to the last col matter.  The
+    e_i - e_j have f = i, p = m (never fires) and q = j, so they are the
+    intervals [i, j - 1]; the one from i meets cols iff it reaches the least
+    col >= i.  For B, C and D each e_i + e_j (2e_i for B, e_i for C) has
+    f = i, p = j and q = m - 1, m or m - 2, and reaches column m - 1.
+
+    The (height, lex) order of the string closure is the order of height,
+    then of f descending, then, for the one pair of D coroots that share
+    both (e_i -+ e_{m-1}), the e_i + e_{m-1} first.  Each coroot's sort key
+    is 2 * (height * m + m - 1 - f), plus 1 for an e_i - e_j, and a run of
+    coroots from the same i steps that key by 2m.
+    """
+    hits = np.sort(cols)
+    firsts = np.arange(hits[-1] + 1 if hits.size else 0)
+    nxt = hits[np.searchsorted(hits, firsts)]  # least col >= i
+    top = m - 1 if family == "A" else m - 2  # e_i - e_j from j = nxt[i] + 1 up to top + 1
+    base = 2 * ((nxt + 1 - firsts) * m + m - 1 - firsts) + 1
+    counts = np.maximum(top + 1 - nxt, 0)
+    q_plus = m
+    if family != "A":  # e_i + e_j from j = j_top down to i + j_lo
+        j_lo, q_plus, j_top = {"B": (0, m - 1, m - 1), "C": (1, m, m),
+                               "D": (1, m - 2, m - 1)}[family]
+        if family == "D" and firsts.size == m - 1:
+            j_top = j_top - (nxt == m - 2)  # e_i + e_{m-1} is zero at column m - 2
+        base = np.concatenate((base, 2 * ((m + q_plus - firsts - j_top) * m + m - 1 - firsts)))
+        counts = np.concatenate((counts, j_top + 1 - j_lo - firsts))
+    ends = np.cumsum(counts)  # run g is base[g], base[g] + 2m, ..., counts[g] keys
+    keys = np.repeat(base - 2 * m * (ends - counts), counts)
+    keys += 2 * m * np.arange(keys.size)
+    keys.sort()
+    height, rem = np.divmod(keys, 2 * m)
+    f = m - 1 - (rem >> 1)
+    q = np.where(rem & 1, f + height, q_plus)  # last + 1 for an e_i - e_j
+    return f, m - f - height + q, q, height
 
 
 def prewarm_family(family: str, rank: int) -> None:
-    """Build the family's coroot table at `rank` up front.
+    """Check that (family, rank) is a valid type; nothing is built ahead.
 
-    Sub-ranks are then row selections of the cached table instead of fresh
-    closures; useful before a scan that walks a whole rank range.
+    The coroots are generated per call, so there is nothing to warm; the
+    name stays because timing harnesses wrap it.
     """
-    _family_table(family, rank)
+    LieType(family, rank)
 
 
-def _window(family: str, rank: int, top: int) -> tuple[int, int]:
-    # Sub-diagram window whose induced system is the same family at `rank`.
-    if family in _HIGH_END:
-        return top - rank, top
-    return 0, rank
+def coroot_columns(type_id: LieType, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pairings and heights of the coroots that meet cols, as read-only arrays.
 
-
-def coroot_columns(
-    type_id: LieType, cols: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairings and heights of the type's positive coroots, as read-only arrays.
-
-    Read from the current family table.  With cols given, only the coroots
-    that pair nonzero with some omega_j (j in cols) are kept, and only those
-    columns; by default all coroots and all columns.  Rows keep the table's
-    (height, lex) order.
+    Keeps the positive coroots that pair nonzero with some omega_j (j in
+    cols), in (height, lex) order, and returns their pairings with the
+    omega_j, one column per entry of cols in the order given (column-major,
+    int16), with their heights ``<rho, coroot>`` (int64).  range(rank)
+    gives every coroot.  For A-D only those coroots are generated, from the
+    closed forms; E, F and G read them from the cached closure.
     """
-    tab = _family_table(type_id.family, type_id.rank)
-    lo, hi = _window(type_id.family, type_id.rank, tab.top)
-    keep = tab.need <= type_id.rank
-    if cols is None:
-        rows = keep.nonzero()[0]
-        sub = tab.matrix[rows, lo:hi]
+    cols = np.asarray(cols, dtype=np.intp)
+    if type_id.family in "ABCD":
+        f, p, q, heights = _classical_steps(type_id.family, type_id.rank, cols)
+        c = cols[:, None]
+        sub = ((c >= f).astype(np.int16) + (c >= p) - (c >= q)).T
     else:
-        cols = np.asarray(cols, dtype=np.intp) + lo
-        meet = np.zeros(keep.size, dtype=bool)
-        for c in cols:  # whole contiguous columns first, then the rank's rows
-            meet |= tab.matrix[:, c] != 0
-        rows = (meet & keep).nonzero()[0]
-        sub = tab.matrix[np.ix_(rows, cols)]
-    heights = tab.heights[rows]
+        mat, all_heights = _closure_coroots(type_id)
+        rows = (mat[:, cols] != 0).any(axis=1).nonzero()[0]
+        sub, heights = mat[np.ix_(rows, cols)], all_heights[rows]
     sub.flags.writeable = heights.flags.writeable = False
     return sub, heights
 
 
-def _validate(type_id: LieType, tab: _FamilyTable, perm: tuple[int, ...]) -> None:
-    rows = (tab.need <= type_id.rank).nonzero()[0]
-    lo, hi = _window(type_id.family, type_id.rank, tab.top)
-    heights = tab.heights[rows]
-    n_expected = positive_coroot_count(type_id)
-    n = rows.size
-    if n != n_expected:
-        raise AssertionError(f"{type_id}: generated {n} positive coroots, expected {n_expected}")
-    simple = tab.matrix[rows[heights == 1], lo:hi]
-    if simple.shape[0] != type_id.rank or not bool((simple.sum(axis=0) == 1).all()):
-        raise AssertionError(f"{type_id}: simple coroot block is malformed")
-    if heights.min() < 1:
-        raise AssertionError(f"{type_id}: nonpositive height in coroot table")
+def _binomials(n: int, top: int) -> list[int]:
+    """C(n, 0), ..., C(n, top), by the multiplicative recurrence."""
+    row = [1]
+    for k in range(top):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
+def _classical_forms(family: str, m: int) -> tuple[list[int], list[int]]:
+    """<omega_k, 2 rho^vee> and dim L(omega_k), k = 1..m, in closed form."""
+    ks = range(1, m + 1)
+    if family == "A":
+        return [k * (m + 1 - k) for k in ks], _binomials(m + 1, m)[1:]
+    if family == "B":
+        return ([k * (2 * m - k + 1) for k in ks[:-1]] + [m * (m + 1) // 2],
+                _binomials(2 * m + 1, m - 1)[1:] + [2**m])
+    row = _binomials(2 * m, m)
+    if family == "C":
+        return [k * (2 * m - k) for k in ks], [row[k] - (row[k - 2] if k > 1 else 0) for k in ks]
+    fork = m - 2  # D: the last two nodes carry the half-spin modules
+    return ([k * (2 * m - k - 1) for k in ks[:fork]] + [m * (m - 1) // 2] * 2,
+            row[1:fork + 1] + [2 ** (m - 1)] * 2)
+
+
+def _validate_symmetry(type_id: LieType, perm: tuple[int, ...]) -> None:
     if [perm[p] for p in perm] != list(range(type_id.rank)):
         raise AssertionError(f"{type_id}: diagram symmetry is not an involution")
     cartan = _cartan_matrix(type_id.family, type_id.rank)
@@ -380,25 +351,23 @@ def _validate(type_id: LieType, tab: _FamilyTable, perm: tuple[int, ...]) -> Non
 def build_root_datum(type_id: LieType) -> RootDatum:
     """Construct (and verify) the root datum of one simple type, cached per type."""
     fam, m = type_id.family, type_id.rank
-    tab = _family_table(fam, m)
     perm = diagram_automorphism(type_id)
-    _validate(type_id, tab, perm)
-    lo, hi = _window(fam, m, tab.top)
-    fund_log = tab.fund_cum[m, lo:hi].copy()
-    fund_log.flags.writeable = False
+    _validate_symmetry(type_id, perm)
+    if fam in "ABCD":
+        two_rho, fund_dims = _classical_forms(fam, m)
+    else:
+        mat, heights = _closure_coroots(type_id)
+        two_rho = mat.sum(axis=0).tolist()
+        fund_dims = []
+        for k in range(m):  # Weyl's formula for omega_k
+            nz = mat[:, k].nonzero()[0]
+            fund_dims.append(math.prod((heights[nz] + mat[nz, k]).tolist())
+                             // math.prod(heights[nz].tolist()))
     return RootDatum(
         type_id=type_id,
         rank=m,
-        two_rho_check=tuple(int(v) for v in tab.two_rho_cum[m, lo:hi]),
-        fund_log=fund_log,
+        two_rho_check=tuple(two_rho),
+        fund_dims=tuple(fund_dims),
         dynkin_symmetry=perm,
         epsilon=_epsilon(type_id),
-        has_triality=(fam == "D" and m == 4),
     )
-
-
-def _clear_caches() -> None:
-    """Test hook: drop the family tables and the per-type cache."""
-    with _tables_lock:
-        _tables.clear()
-    build_root_datum.cache_clear()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Callable, Iterable, Sequence
 
-from . import root_data
 from .arith import is_prime
 from .irreps import (
     GENERIC_CHAR_FLOOR,
@@ -342,12 +341,6 @@ def _classify(
 
     facts = factorizations(n)
     types = default_scan_types(n)
-    by_family: dict[str, int] = {}
-    for t in types:
-        by_family[t.family] = max(by_family.get(t.family, 0), t.rank)
-    for fam, top in sorted(by_family.items()):
-        root_data.prewarm_family(fam, top)
-
     results = [_scan_one_type(t, facts, factors_of(t), n, mode, min_char, exceptions)
                for t in types]
 
@@ -449,8 +442,7 @@ def theorem1_sweep(pis: Iterable[int] | None = None) -> list[Theorem1Evidence]:
     """verify_theorem1's evidence for several primes, in ascending order of pi.
 
     Every pi is checked before any scan.  Each scanned type is enumerated
-    once, at the largest n, and that table serves every smaller n.  The
-    largest n runs first, so the family tables are built once.
+    once, at the largest n, and that table serves every smaller n.
     """
     pis = sorted(set(THEOREM1_PRIMES if pis is None else pis))
     for pi in pis:
@@ -459,11 +451,8 @@ def theorem1_sweep(pis: Iterable[int] | None = None) -> list[Theorem1Evidence]:
         return []
     bound = 4 * pis[-1]
     factors_of = functools.cache(lambda type_id: _factors_by_dim(type_id, bound, ()))
-    evidence = {
-        pi: _evidence(pi, _classify(4 * pi, 4 * pi + 1, MODE_ORBIT, (), factors_of))
-        for pi in reversed(pis)
-    }
-    return [evidence[pi] for pi in pis]
+    return [_evidence(pi, _classify(4 * pi, 4 * pi + 1, MODE_ORBIT, (), factors_of))
+            for pi in pis]
 
 
 def tensor_json(tc: TensorCandidate) -> dict:

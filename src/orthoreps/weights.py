@@ -1,24 +1,19 @@
-"""Dominant-weight arithmetic: dimensions, dominance order, duality, indicators.
+"""Dominant-weight arithmetic: dimensions, duality, indicators.
 
 All computations are exact.  The Weyl dimension is evaluated as a product
-of rational factors over the positive coroots and asserted to be integral;
-dominance comparison solves the Cartan system over exact rationals.
+of rational factors over the positive coroots and asserted to be integral.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .root_data import LieType, RootDatum, diagram_automorphism
+from .root_data import LieType, RootDatum, coroot_columns, diagram_automorphism
 
 __all__ = [
     "weyl_dimension",
-    "dominance_compare",
-    "is_q_restricted",
     "minus_w0",
     "is_self_dual",
     "indicator",
@@ -81,55 +76,14 @@ def dim_from_pairings(heights: np.ndarray, pairings: np.ndarray) -> int:
 
 
 def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
-    """Dimension of the highest-weight module with the given dominant weight."""
-    w = as_weight(weight, datum.rank)
-    pair = datum.positive_coroots @ np.asarray(w, dtype=np.int64)
-    return dim_from_pairings(datum.rho_pairings, pair)
+    """Dimension of the highest-weight module with the given dominant weight.
 
-
-def _solve_cartan(cartan: np.ndarray, rhs: Sequence[int]) -> list[Fraction]:
-    """Exact solution of cartan . x = rhs by fraction-free Gaussian elimination."""
-    m = cartan.shape[0]
-    aug = [[Fraction(int(cartan[i, j])) for j in range(m)] + [Fraction(int(rhs[i]))] for i in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][m] for i in range(m)]
-
-
-def dominance_compare(datum: RootDatum, weight: Sequence[int], other: Sequence[int]) -> str:
-    """Compare two dominant weights in the dominance order.
-
-    Returns "less", "greater", "equal" or "incomparable".  "less" means the
-    first weight precedes the second, i.e. the difference is a non-negative
-    integer combination of simple roots.
+    Only the coroots that meet the weight's support enter the product.
     """
-    a = as_weight(weight, datum.rank)
-    b = as_weight(other, datum.rank)
-    if a == b:
-        return "equal"
-    diff = [bb - aa for aa, bb in zip(a, b)]
-    x = _solve_cartan(datum.cartan, diff)
-    if any(v.denominator != 1 for v in x):
-        return "incomparable"
-    if all(v >= 0 for v in x):
-        return "less"
-    if all(v <= 0 for v in x):
-        return "greater"
-    return "incomparable"
-
-
-def is_q_restricted(weight: Sequence[int], q: int) -> bool:
-    """True iff every coefficient lies in 0..q-1."""
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
-    return all(0 <= int(a) <= q - 1 for a in weight)
+    w = as_weight(weight, datum.rank)
+    support = [i for i, a in enumerate(w) if a]
+    sub, heights = coroot_columns(datum.type_id, support)
+    return dim_from_pairings(heights, sub @ np.asarray([w[i] for i in support], dtype=np.int64))
 
 
 def _dual(perm: Sequence[int], weight: Weight) -> Weight:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from orthoreps.root_data import (
 )
 from orthoreps.weights import weyl_dimension
 
-from lie_strategies import any_family_type, prewarm_larger
+from lie_strategies import any_family_type
 
 SMALL_TYPES = [
     LieType("A", 1), LieType("A", 2), LieType("A", 3), LieType("A", 4),
@@ -23,6 +25,24 @@ SMALL_TYPES = [
     LieType("D", 4), LieType("D", 5),
     LieType("G", 2), LieType("F", 4), LieType("E", 6),
 ]
+
+# Every A-D type up to rank 40, and the exceptional types.
+ORACLE_TYPES = [LieType(fam, m) for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                for m in range(lo, 41)]
+ORACLE_TYPES += [LieType("E", 6), LieType("E", 7), LieType("E", 8),
+                 LieType("F", 4), LieType("G", 2)]
+
+
+def all_coroots(type_id):
+    """Every positive coroot of the type, with its height."""
+    return coroot_columns(type_id, range(type_id.rank))
+
+
+@functools.lru_cache(maxsize=None)
+def closure_oracle(type_id):
+    """The string closure of the type's Cartan matrix, with its heights."""
+    full = _string_closure(_cartan_matrix(type_id.family, type_id.rank))
+    return full, full.sum(axis=1, dtype=np.int64)
 
 
 def reflection_closure(pairing_matrix: np.ndarray) -> set[tuple[int, ...]]:
@@ -55,9 +75,8 @@ def test_closure_matches_reflection_oracle(type_id):
     # cartan[i][k] = <alpha_k, alpha_i^vee> is also the pairing matrix of the
     # dual system in the simple-coroot basis, so the reflection orbit of the
     # simple coroots under it is exactly the coroot system.
-    datum = build_root_datum(type_id)
     expected = reflection_closure(_cartan_matrix(type_id.family, type_id.rank))
-    got = {tuple(int(v) for v in row) for row in datum.positive_coroots}
+    got = {tuple(int(v) for v in row) for row in all_coroots(type_id)[0]}
     assert got == expected
 
 
@@ -106,8 +125,8 @@ def test_closure_matches_unique_oracle(type_id):
 def test_coroots_differ_from_roots_for_asymmetric_types():
     # B and C coroot tables are each other's root tables; a transposed
     # pairing matrix must therefore give a different (dual) answer.
-    b2 = {tuple(r) for r in build_root_datum(LieType("B", 2)).positive_coroots.tolist()}
-    c2 = {tuple(r) for r in build_root_datum(LieType("C", 2)).positive_coroots.tolist()}
+    b2 = {tuple(r) for r in all_coroots(LieType("B", 2))[0].tolist()}
+    c2 = {tuple(r) for r in all_coroots(LieType("C", 2))[0].tolist()}
     assert b2 == {(0, 1), (1, 0), (1, 1), (2, 1)}
     assert c2 == {(0, 1), (1, 0), (1, 1), (1, 2)}
     assert b2 != c2
@@ -120,91 +139,54 @@ def test_coroots_differ_from_roots_for_asymmetric_types():
     ids=str,
 )
 def test_coroot_counts(type_id):
-    datum = build_root_datum(type_id)
-    assert datum.positive_coroots.shape == (positive_coroot_count(type_id), type_id.rank)
+    coroots, _ = all_coroots(type_id)
+    assert coroots.shape == (positive_coroot_count(type_id), type_id.rank)
     # rows are pairwise distinct
-    assert len(np.unique(datum.positive_coroots, axis=0)) == datum.positive_coroots.shape[0]
+    assert len(np.unique(coroots, axis=0)) == coroots.shape[0]
 
 
 @pytest.mark.parametrize("type_id", SMALL_TYPES, ids=str)
 def test_rho_pairings(type_id):
-    datum = build_root_datum(type_id)
-    assert datum.rho_pairings.min() == 1
-    simple = datum.positive_coroots[datum.rho_pairings == 1]
+    coroots, heights = all_coroots(type_id)
+    assert heights.min() == 1
+    assert np.array_equal(heights, coroots.sum(axis=1))
+    simple = coroots[heights == 1]
     assert sorted(tuple(r) for r in simple.tolist()) == sorted(
         tuple(r) for r in np.eye(type_id.rank, dtype=int).tolist()
     )
-    assert (datum.rho_pairings >= 1).all()
 
 
 @pytest.mark.parametrize("type_id", SMALL_TYPES, ids=str)
 def test_two_rho_is_coroot_sum(type_id):
     datum = build_root_datum(type_id)
-    assert (datum.two_rho_check == datum.positive_coroots.sum(axis=0)).all()
+    assert (datum.two_rho_check == all_coroots(type_id)[0].sum(axis=0)).all()
     assert all(v > 0 for v in datum.two_rho_check)
 
 
 def test_a1_datum():
+    coroots, heights = all_coroots(LieType("A", 1))
+    assert coroots.shape[0] == 1
+    assert heights.tolist() == [1]
     datum = build_root_datum(LieType("A", 1))
-    assert datum.positive_coroots.shape[0] == 1
-    assert datum.rho_pairings.tolist() == [1]
-    assert datum.two_rho_check == (1,)
+    assert datum.two_rho_check == (1,) and datum.fund_dims == (2,)
 
 
 def test_d4_count():
-    assert build_root_datum(LieType("D", 4)).positive_coroots.shape[0] == 12
+    assert all_coroots(LieType("D", 4))[0].shape[0] == 12
 
 
 def test_e8_highest_coroot_height():
-    datum = build_root_datum(LieType("E", 8))
-    assert datum.positive_coroots.shape[0] == 120
-    assert int(datum.rho_pairings.max()) == 29
+    coroots, heights = all_coroots(LieType("E", 8))
+    assert coroots.shape[0] == 120
+    assert int(heights.max()) == 29
 
 
 def test_height_then_lex_ordering():
-    datum = build_root_datum(LieType("B", 2))
-    assert datum.positive_coroots.tolist() == [[0, 1], [1, 0], [1, 1], [2, 1]]
+    assert all_coroots(LieType("B", 2))[0].tolist() == [[0, 1], [1, 0], [1, 1], [2, 1]]
     for t in SMALL_TYPES:
-        d = build_root_datum(t)
-        rows = d.positive_coroots.tolist()
+        rows = all_coroots(t)[0].tolist()
         keys = [(sum(r), tuple(r)) for r in rows]
         assert keys == sorted(keys)
-
-
-def test_subrank_extraction_equals_direct_closure():
-    # warm the family cache at a larger rank, then compare the derived
-    # sub-rank table against a standalone closure of the same type
-    import orthoreps.root_data as rd
-
-    for fam, big, small in [("A", 9, 4), ("B", 9, 3), ("C", 9, 4), ("D", 9, 5), ("E", 8, 6)]:
-        rd._clear_caches()
-        rd.prewarm_family(fam, big)
-        derived = build_root_datum(LieType(fam, small)).positive_coroots.copy()
-        rd._clear_caches()
-        direct = build_root_datum(LieType(fam, small)).positive_coroots.copy()
-        assert (derived == direct).all(), (fam, small)
-
-
-@pytest.mark.parametrize("type_id,top", [(LieType("B", 5), 40), (LieType("D", 6), 40)], ids=str)
-def test_datum_survives_family_growth(type_id, top):
-    # A datum keeps no coroot table: it reads the current family table, whose
-    # B/C/D window moves when prewarm_family replaces it at a larger rank.
-    import orthoreps.root_data as rd
-
-    m = type_id.rank
-    weights = [tuple(int(i == j) for j in range(m)) for i in range(m)] + [(1,) * m]
-
-    def snapshot(datum):
-        return (datum.positive_coroots.tolist(), datum.rho_pairings.tolist(),
-                [a.tolist() for a in rd.coroot_columns(type_id, [0, m - 1])],
-                [weyl_dimension(datum, w) for w in weights])
-
-    rd._clear_caches()
-    datum = build_root_datum(type_id)
-    before = snapshot(datum)
-    rd.prewarm_family(type_id.family, top)
-    assert snapshot(datum) == before
-    assert snapshot(build_root_datum(type_id)) == before
 
 
 @st.composite
@@ -217,57 +199,38 @@ def type_and_columns(draw):
 @settings(max_examples=150, deadline=None)
 @given(type_and_columns())
 def test_column_subset_matches_mask_oracle(tc):
-    # Oracle: all rows of the type, masked to those pairing nonzero with some
-    # omega_j (j in cols), then the cols in the order given.
+    # Oracle: the string closure of the type, masked to the rows pairing
+    # nonzero with some omega_j (j in cols), then the cols in the order given.
     t, cols = tc
-    prewarm_larger(t)
-    full, heights = coroot_columns(t)
+    full, heights = closure_oracle(t)
     sub, sub_heights = coroot_columns(t, cols)
     meet = (full[:, cols] != 0).any(axis=1)
     want = full[meet][:, cols]
     assert sub.shape == want.shape and sub.dtype == want.dtype
     assert np.array_equal(sub, want)
     assert np.array_equal(sub_heights, heights[meet])
+    assert sub_heights.dtype == heights.dtype
     assert not sub.flags.writeable and not sub_heights.flags.writeable
 
 
-def test_datum_reads_stay_whole_while_the_family_grows():
-    # Callers on several threads share build_root_datum and the family
-    # tables; a reader racing a prewarm at a larger rank must see one whole
-    # window.
-    import sys
-    import threading
-
-    import orthoreps.root_data as rd
-
-    rd._clear_caches()
-    datum = build_root_datum(LieType("B", 5))
-    want = [a.tolist() for a in rd.coroot_columns(datum.type_id)]
-    done = threading.Event()
-    bad = []
-
-    def read():
-        while not done.is_set():
-            got = [a.tolist() for a in rd.coroot_columns(datum.type_id)]
-            if got != want or build_root_datum(LieType("B", 5)).fund_log.tolist() != (
-                    datum.fund_log.tolist()):
-                bad.append(got)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    readers = [threading.Thread(target=read) for _ in range(4)]
-    try:
-        for t in readers:
-            t.start()
-        for top in range(6, 21):
-            rd.prewarm_family("B", top)
-    finally:
-        done.set()
-        for t in readers:
-            t.join(timeout=30)
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in readers)
-    assert bad == []
+@pytest.mark.parametrize("type_id", ORACLE_TYPES, ids=str)
+def test_closed_forms_match_closure(type_id):
+    # The A-D coroots, 2rho^vee and fundamental dimensions are closed forms;
+    # the closure and Weyl's formula on the closure's columns must agree.
+    full, heights = closure_oracle(type_id)
+    coroots, got_heights = all_coroots(type_id)
+    assert np.array_equal(coroots, full) and np.array_equal(got_heights, heights)
+    datum = build_root_datum(type_id)
+    assert datum.two_rho_check == tuple(full.sum(axis=0).tolist())
+    for i in range(type_id.rank):
+        omega = tuple(int(j == i) for j in range(type_id.rank))
+        assert datum.fund_dims[i] == weyl_dimension(datum, omega), (type_id, i)
+        # One column at a time, so that every cut-off of the runs is met,
+        # e.g. D's column m - 2 alone, which e_i + e_{m-1} does not meet.
+        sub, sub_heights = coroot_columns(type_id, [i])
+        meet = full[:, i] != 0
+        assert np.array_equal(sub[:, 0], full[meet, i]), (type_id, i)
+        assert np.array_equal(sub_heights, heights[meet]), (type_id, i)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +286,7 @@ def lowest_weight_by_orbit(cartan: np.ndarray, weight: tuple[int, ...]) -> tuple
 )
 def test_symmetry_matches_weyl_orbit_oracle(type_id):
     m = type_id.rank
-    cartan = build_root_datum(type_id).cartan
+    cartan = _cartan_matrix(type_id.family, type_id.rank)
     perm = diagram_automorphism(type_id)
     for i in range(m):
         omega = tuple(int(j == i) for j in range(m))
@@ -335,10 +298,10 @@ def test_symmetry_matches_weyl_orbit_oracle(type_id):
 
 @pytest.mark.parametrize("type_id", SMALL_TYPES, ids=str)
 def test_symmetry_fixes_cartan(type_id):
-    datum = build_root_datum(type_id)
-    perm = list(datum.dynkin_symmetry)
+    cartan = _cartan_matrix(type_id.family, type_id.rank)
+    perm = list(build_root_datum(type_id).dynkin_symmetry)
     assert [perm[p] for p in perm] == list(range(type_id.rank))
-    assert (datum.cartan[np.ix_(perm, perm)] == datum.cartan).all()
+    assert (cartan[np.ix_(perm, perm)] == cartan).all()
 
 
 def test_epsilon_and_triality():
@@ -348,9 +311,7 @@ def test_epsilon_and_triality():
     assert build_root_datum(LieType("D", 6)).epsilon == 2
     assert build_root_datum(LieType("E", 6)).epsilon == 2
     assert build_root_datum(LieType("E", 7)).epsilon == 1
-    d4 = build_root_datum(LieType("D", 4))
-    assert d4.epsilon == 2 and d4.has_triality
-    assert not build_root_datum(LieType("D", 5)).has_triality
+    assert build_root_datum(LieType("D", 4)).epsilon == 2
 
 
 @pytest.mark.parametrize(
@@ -370,9 +331,12 @@ def test_parse_roundtrip():
 
 
 def test_datum_arrays_immutable():
-    datum = build_root_datum(LieType("B", 2))
-    with pytest.raises(ValueError):
-        datum.positive_coroots[0, 0] = 5
+    for t in (LieType("B", 2), LieType("G", 2)):
+        coroots, heights = all_coroots(t)
+        with pytest.raises(ValueError):
+            coroots[0, 0] = 5
+        with pytest.raises(ValueError):
+            heights[0] = 5
 
 
 @settings(max_examples=25, deadline=None)
@@ -380,6 +344,5 @@ def test_datum_arrays_immutable():
 def test_natural_module_row_present(type_id):
     # the first fundamental coweight pairs to 1 with exactly the simple
     # coroots carrying coordinate 1 in slot 0; sanity of indexing
-    datum = build_root_datum(type_id)
-    col = datum.positive_coroots[:, 0]
+    col = coroot_columns(type_id, [0])[0][:, 0]
     assert col.max() >= 1

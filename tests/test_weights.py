@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoreps.root_data import LieType, build_root_datum
+from orthoreps.root_data import LieType, build_root_datum, coroot_columns
 from orthoreps.weights import (
     dim_from_pairings,
-    dominance_compare,
     fs_indicator,
-    is_q_restricted,
     is_self_dual,
     minus_w0,
     weyl_dimension,
 )
 
-from lie_strategies import any_family_type, prewarm_larger
+from lie_strategies import any_family_type
 
 TYPES = [
     LieType("A", 1), LieType("A", 2), LieType("A", 3), LieType("A", 5),
@@ -134,11 +132,10 @@ class TestDimFromPairings:
     @given(any_family_weight())
     def test_matches_balanced_products(self, tw):
         t, w = tw
-        prewarm_larger(t)
-        datum = build_root_datum(t)
-        pair = datum.positive_coroots @ np.asarray(w, dtype=np.int64)
-        assert dim_from_pairings(datum.rho_pairings, pair) == balanced_dim_from_pairings(
-            datum.rho_pairings, pair)
+        coroots, heights = coroot_columns(t, range(t.rank))
+        pair = coroots @ np.asarray(w, dtype=np.int64)
+        assert dim_from_pairings(heights, pair) == balanced_dim_from_pairings(heights, pair)
+        assert weyl_dimension(build_root_datum(t), w) == dim_from_pairings(heights, pair)
 
     def test_huge_coefficients(self):
         # The counts are indexed by the distinct values once h + s is large,
@@ -147,87 +144,23 @@ class TestDimFromPairings:
         for type_id, w in ((LieType("D", 6), (10**12, 0, 3, 0, 0, 10**12 - 1)),
                            (LieType("E", 7), (0, 1, 0, 0, 0, 0, 10**12)),
                            (LieType("A", 30), _w(30, n1=10**12, n17=2, n30=5))):
-            datum = build_root_datum(type_id)
-            pair = datum.positive_coroots @ np.asarray(w, dtype=np.int64)
-            assert weyl_dimension(datum, w) == balanced_dim_from_pairings(datum.rho_pairings, pair)
+            coroots, heights = coroot_columns(type_id, range(type_id.rank))
+            pair = coroots @ np.asarray(w, dtype=np.int64)
+            assert weyl_dimension(build_root_datum(type_id), w) == balanced_dim_from_pairings(
+                heights, pair)
 
     @pytest.mark.parametrize("type_id", [LieType("A", 1), LieType("A", 2), LieType("B", 3),
                                          LieType("G", 2), LieType("E", 6)], ids=str)
     def test_corrupted_heights_raise(self, type_id):
-        datum = build_root_datum(type_id)
-        pair = datum.positive_coroots @ np.asarray(_w(type_id.rank, n1=1), dtype=np.int64)
-        bumped = datum.rho_pairings.copy()
+        coroots, rho_pairings = coroot_columns(type_id, range(type_id.rank))
+        pair = coroots @ np.asarray(_w(type_id.rank, n1=1), dtype=np.int64)
+        bumped = rho_pairings.copy()
         bumped[-1] += 1  # the highest coroot pairs nonzero with omega_1
-        for heights in (bumped, 2 * datum.rho_pairings):
+        for heights in (bumped, 2 * rho_pairings):
             with pytest.raises(ArithmeticError):
                 balanced_dim_from_pairings(heights, pair)
             with pytest.raises(ArithmeticError):
                 dim_from_pairings(heights, pair)
-
-
-class TestDominance:
-    def test_equal(self):
-        d = build_root_datum(LieType("C", 3))
-        assert dominance_compare(d, (1, 2, 0), (1, 2, 0)) == "equal"
-
-    def test_a1_zero_below_twice_omega(self):
-        d = build_root_datum(LieType("A", 1))
-        assert dominance_compare(d, (0,), (2,)) == "less"
-        assert dominance_compare(d, (2,), (0,)) == "greater"
-        assert dominance_compare(d, (0,), (1,)) == "incomparable"
-
-    def test_a2_fundamentals_incomparable(self):
-        d = build_root_datum(LieType("A", 2))
-        assert dominance_compare(d, (1, 0), (0, 1)) == "incomparable"
-
-    def test_g2_fundamentals_comparable(self):
-        # omega_2 - omega_1 = alpha_1 + alpha_2, so the 7- and 14-dimensional
-        # highest weights are comparable despite being fundamental
-        d = build_root_datum(LieType("G", 2))
-        assert dominance_compare(d, (1, 0), (0, 1)) == "less"
-        assert dominance_compare(d, (0, 1), (1, 0)) == "greater"
-
-    def test_partial_order_on_small_boxes(self):
-        import itertools
-
-        for t in (LieType("A", 2), LieType("B", 2)):
-            datum = build_root_datum(t)
-            box = list(itertools.product(range(4), repeat=t.rank))
-            rel = {}
-            for a in box:
-                for b in box:
-                    rel[a, b] = dominance_compare(datum, a, b)
-            for a in box:
-                assert rel[a, a] == "equal"
-                for b in box:
-                    if rel[a, b] == "less":
-                        assert rel[b, a] == "greater"
-                    for c in box:
-                        if rel[a, b] == "less" and rel[b, c] == "less":
-                            assert rel[a, c] == "less"
-
-    def test_length_mismatch(self):
-        d = build_root_datum(LieType("A", 2))
-        with pytest.raises(ValueError):
-            dominance_compare(d, (1,), (0, 1))
-
-
-class TestRestricted:
-    def test_zero_weight(self):
-        assert is_q_restricted((0, 0, 0), 2)
-
-    def test_headroom(self):
-        assert is_q_restricted((67,), 69)
-        assert is_q_restricted((67,), 68)
-        assert not is_q_restricted((67,), 67)
-
-    def test_boundary(self):
-        assert not is_q_restricted((5, 0), 5)
-        assert is_q_restricted((4, 4), 5)
-
-    def test_bad_q(self):
-        with pytest.raises(ValueError):
-            is_q_restricted((1,), 1)
 
 
 class TestDuality:
