@@ -6,21 +6,31 @@ coordinate makes pruning at the bound exhaustive.  Coordinates whose
 fundamental module already exceeds the bound can never appear in a hit, so
 the walk is confined to the "active" coordinates, read off the exact
 fundamental dimensions of the type's RootDatum, which keeps scans over
-large-rank types cheap.  Generic (characteristic-zero) dimensions are
-reported; known small-characteristic corrections are ingested from a CSV
-exceptions file rather than computed.
+large-rank types cheap.  The pairings and heights of the coroots that meet
+those coordinates are kept per (type, active coordinates), so a repeated
+search builds no coroot, and the self-duality and indicator of every hit
+are read on the same coordinates.  Generic (characteristic-zero)
+dimensions are reported; known small-characteristic corrections are
+ingested from a CSV exceptions file rather than computed.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .root_data import LieType, RootDatum, build_root_datum, coroot_columns
+from .root_data import (
+    LieType,
+    RootDatum,
+    build_root_datum,
+    coroot_columns,
+    diagram_automorphism,
+)
 from .weights import as_weight, dim_from_pairings, indicator, weyl_dimension
 
 __all__ = [
@@ -51,14 +61,16 @@ class IrrepCandidate:
     min_char: int
 
     @classmethod
-    def of(cls, datum: RootDatum, weight: tuple[int, ...], dim: int,
+    def of(cls, datum: RootDatum, weight: tuple[int, ...], dim: int, cols: Sequence[int],
            matching_ells: Iterable[int] = ()) -> "IrrepCandidate":
         """The candidate L(weight) of datum's type with the given dimension.
 
+        cols holds the weight's support and is closed under the diagram
+        symmetry (see weights.indicator); range(datum.rank) always is.
         matching_ells are the characteristics of ingested exceptions for this
         weight; they can only raise min_char.
         """
-        fs = indicator(datum, weight)
+        fs = indicator(datum, weight, cols)
         return cls(
             type_id=datum.type_id,
             weight=weight,
@@ -66,7 +78,7 @@ class IrrepCandidate:
             self_dual=fs != 0,
             fs=fs,
             epsilon=datum.epsilon,
-            min_char=_min_char(weight, matching_ells),
+            min_char=_min_char(weight, cols, matching_ells),
         )
 
 
@@ -81,23 +93,46 @@ class ExceptionRecord:
     corrected_dim: int
 
 
-def _search_weights(datum: RootDatum, bound: int) -> list[tuple[tuple[int, ...], int]]:
-    """All dominant weights with dimension <= bound, with exact dimensions."""
+def _active_columns(datum: RootDatum, bound: int) -> tuple[int, ...]:
+    """The columns whose fundamental modules fit the bound; no hit leaves them."""
+    return tuple(c for c, d in enumerate(datum.fund_dims) if d <= bound)
+
+
+@lru_cache(maxsize=None)
+def _search_columns(type_id: LieType, cols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """coroot_columns(type_id, cols), kept across calls as read-only arrays.
+
+    The search asks for the columns whose fundamental modules fit its bound.
+    -w0 keeps dimensions, so that set is closed under the diagram symmetry,
+    which the indicator on those columns relies on and which is checked
+    here, once per entry.  The set grows with the bound, so a type has at
+    most rank + 1 entries.
+    """
+    sym = diagram_automorphism(type_id)
+    if sorted(sym[c] for c in cols) != list(cols):
+        raise AssertionError(f"{type_id}: columns {cols} not closed under the diagram symmetry")
+    return coroot_columns(type_id, cols)
+
+
+def _search_weights(datum: RootDatum, cols: tuple[int, ...],
+                    bound: int) -> list[tuple[tuple[int, ...], int]]:
+    """All dominant weights with dimension <= bound, with exact dimensions.
+
+    cols is _active_columns(datum, bound).
+    """
     zero = (0,) * datum.rank
-    # The fundamental weights that fit are the walk's first level.
-    first = [(c, d) for c, d in enumerate(datum.fund_dims) if d <= bound]
-    if not first:
+    if not cols:
         return [(zero, 1)]
-    cols = [c for c, _ in first]
-    sub, heights = coroot_columns(datum.type_id, cols)
+    sub, heights = _search_columns(datum.type_id, cols)
     sub = sub.astype(np.int64)  # R x a
 
     def bump(w: tuple[int, ...], j: int) -> tuple[int, ...]:
         c = cols[j]
         return w[:c] + (w[c] + 1,) + w[c + 1:]
 
-    # Hits still to extend, each in its columns start and above.
-    stack = [(bump(zero, j), sub[:, j], d, j) for j, (_, d) in enumerate(first)]
+    # The fundamental weights that fit are the walk's first level; hits
+    # still to extend are each in their columns start and above.
+    stack = [(bump(zero, j), sub[:, j], datum.fund_dims[c], j) for j, c in enumerate(cols)]
     found: list[tuple[tuple[int, ...], int]] = [(zero, 1)]
     while stack:
         w, pair, dim, start = stack.pop()
@@ -111,8 +146,8 @@ def _search_weights(datum: RootDatum, bound: int) -> list[tuple[tuple[int, ...],
     return found
 
 
-def _min_char(weight: tuple[int, ...], matching_ells: Iterable[int] = ()) -> int:
-    floor = max(GENERIC_CHAR_FLOOR, 1 + max(weight, default=0))
+def _min_char(weight: tuple[int, ...], cols: Sequence[int], matching_ells: Iterable[int]) -> int:
+    floor = max(GENERIC_CHAR_FLOOR, 1 + max((weight[c] for c in cols), default=0))
     for ell in matching_ells:
         if ell >= GENERIC_CHAR_FLOOR:
             floor = max(floor, ell + 1)
@@ -138,9 +173,10 @@ def enumerate_restricted(
         if rec.type_id == type_id and rec.corrected_dim < _generic_dim(rec):
             exc_by_weight.setdefault(rec.weight, []).append(rec.ell)
 
+    cols = _active_columns(datum, dim_bound)
     out = [
-        IrrepCandidate.of(datum, weight, dim, exc_by_weight.get(weight, ()))
-        for weight, dim in _search_weights(datum, dim_bound)
+        IrrepCandidate.of(datum, weight, dim, cols, exc_by_weight.get(weight, ()))
+        for weight, dim in _search_weights(datum, cols, dim_bound)
     ]
     out.sort(key=lambda c: (c.dim, c.weight))
     return out

@@ -5,9 +5,9 @@ for.  With e_0, e_1, ... the standard basis they are e_i - e_j for A_m,
 e_i -+ e_j and 2e_i for B_m, e_i -+ e_j and e_i for C_m, and e_i -+ e_j for
 D_m (i < j; Bourbaki, Planches I-IV).  In the simple-coroot basis each one
 is a step function of the column c: [c >= f] + [c >= p] - [c >= q] for three
-integers f <= p, q, so a call generates only the coroots that meet the
-columns it asks for, and the type's 2rho^vee and fundamental dimensions are
-closed forms in the rank.
+integers f <= p, q, so coroot_columns builds only the coroots that meet the
+columns it is asked for, and the type's 2rho^vee and fundamental dimensions
+are closed forms in the rank.
 
 The exceptional types E6-E8, F4 and G2 (at most 120 coroots) are generated
 from their simple coroots, level by level in the height grading, by the
@@ -89,9 +89,10 @@ class LieType:
 class RootDatum:
     """Immutable per-type data for one simple Lie type.
 
-    This is the package's one per-type record, and build_root_datum its one
-    per-type cache, so it holds only rank-sized data; coroot_columns
-    supplies the coroots themselves.  two_rho_check[i] is
+    This is the package's one per-type record, cached per type by
+    build_root_datum, so it holds only rank-sized data.  coroot_columns
+    supplies the coroots themselves; the module search keeps the blocks it
+    reads per (type, active columns).  two_rho_check[i] is
     ``<omega_i, 2 rho^vee>``, the i-th coordinate of the sum of the positive
     coroots, and fund_dims[i] is the exact dimension of the fundamental
     module L(omega_i).
@@ -286,8 +287,9 @@ def _classical_steps(family: str, m: int, cols: np.ndarray) -> tuple[np.ndarray,
 def prewarm_family(family: str, rank: int) -> None:
     """Check that (family, rank) is a valid type; nothing is built ahead.
 
-    The coroots are generated per call, so there is nothing to warm; the
-    name stays because timing harnesses wrap it.
+    coroot_columns builds what each caller asks for, and the module search
+    keeps its own blocks, so there is nothing to warm; the name stays
+    because timing harnesses wrap it.
     """
     LieType(family, rank)
 
@@ -299,8 +301,9 @@ def coroot_columns(type_id: LieType, cols: Sequence[int]) -> tuple[np.ndarray, n
     cols), in (height, lex) order, and returns their pairings with the
     omega_j, one column per entry of cols in the order given (column-major,
     int16), with their heights ``<rho, coroot>`` (int64).  range(rank)
-    gives every coroot.  For A-D only those coroots are generated, from the
-    closed forms; E, F and G read them from the cached closure.
+    gives every coroot.  For A-D only those coroots are built, from the
+    closed forms; E, F and G read them from the cached closure.  The result
+    is not kept here: the module search keeps the blocks it reuses.
     """
     cols = np.asarray(cols, dtype=np.intp)
     if type_id.family in "ABCD":

@@ -273,7 +273,8 @@ def _scan_one_type(
     for rec in exceptions:
         if rec.type_id != type_id or rec.corrected_dim != n:
             continue
-        factor = IrrepCandidate.of(build_root_datum(type_id), rec.weight, rec.corrected_dim)
+        factor = IrrepCandidate.of(build_root_datum(type_id), rec.weight, rec.corrected_dim,
+                                   range(type_id.rank))
         if not factor.self_dual:
             non_self_dual += 1
             events.append(

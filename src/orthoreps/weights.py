@@ -101,17 +101,21 @@ def is_self_dual(type_id: LieType, weight: Sequence[int]) -> bool:
     return minus_w0(type_id, w) == w
 
 
-def indicator(datum: RootDatum, weight: Weight) -> int:
+def indicator(datum: RootDatum, weight: Weight, cols: Sequence[int]) -> int:
     """Frobenius-Schur indicator: +1 orthogonal, -1 symplectic, 0 not self-dual.
 
     The module is self-dual iff -w0 fixes lambda; its indicator is then the
-    sign (-1)^<lambda, 2 rho^vee>.  The weight is not validated: pass a
-    tuple already checked by as_weight against datum's rank.
+    sign (-1)^<lambda, 2 rho^vee>.  Only the columns in cols are read: they
+    must hold the weight's support and be closed under the diagram symmetry
+    (range(rank) always is), so -w0 fixes lambda iff it fixes lambda on cols.
+    The weight is not validated: pass a tuple already checked by as_weight
+    against datum's rank.
     """
-    if _dual(datum.dynkin_symmetry, weight) != weight:
+    sym = datum.dynkin_symmetry
+    if any(weight[sym[c]] != weight[c] for c in cols):
         return 0
-    parity = sum(c * a for c, a in zip(datum.two_rho_check, weight)) % 2
-    return -1 if parity else 1
+    two_rho = datum.two_rho_check
+    return -1 if sum(two_rho[c] * weight[c] for c in cols) % 2 else 1
 
 
 def fs_indicator(datum: RootDatum, weight: Sequence[int]) -> int:
@@ -121,7 +125,7 @@ def fs_indicator(datum: RootDatum, weight: Sequence[int]) -> int:
     rejected here); see indicator for the rule.
     """
     w = as_weight(weight, datum.rank)
-    fs = indicator(datum, w)
+    fs = indicator(datum, w, range(datum.rank))
     if not fs:
         raise ValueError(
             f"{datum.type_id} weight {w} is not self-dual; the indicator is defined "

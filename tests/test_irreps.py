@@ -8,6 +8,8 @@ import pytest
 from orthoreps.cli import run
 from orthoreps.irreps import (
     ExceptionRecord,
+    _active_columns,
+    _search_columns,
     candidate_json,
     candidates_of_dimension,
     default_scan_types,
@@ -135,6 +137,48 @@ def test_first_level_dims_are_not_recomputed(monkeypatch):
     cands = enumerate_restricted(LieType("A", 200), 292)
     assert [c.dim for c in cands] == [1, 201, 201]
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("type_id", [LieType("A", 5), LieType("D", 7), LieType("E", 6)],
+                         ids=str)
+def test_column_cache_is_transparent(type_id):
+    datum = build_root_datum(type_id)
+    bounds = sorted({1, 50, 300, *datum.fund_dims[:4]})
+    fresh = {}
+    for b in bounds:
+        _search_columns.cache_clear()
+        fresh[b] = enumerate_restricted(type_id, b)
+    _search_columns.cache_clear()
+    for order in (bounds[::-1], bounds, bounds):  # descending, ascending, repeated
+        for b in order:
+            assert enumerate_restricted(type_id, b) == fresh[b]
+
+
+def test_column_cache_is_read_only():
+    datum = build_root_datum(LieType("D", 7))
+    sub, heights = _search_columns(datum.type_id, _active_columns(datum, 100))
+    with pytest.raises(ValueError):
+        sub[0, 0] = 1
+    with pytest.raises(ValueError):
+        heights[0] = 1
+
+
+def test_column_cache_rejects_columns_not_closed_under_symmetry():
+    with pytest.raises(AssertionError, match="not closed"):
+        _search_columns(LieType("A", 3), (0,))
+
+
+@pytest.mark.parametrize("type_id", [LieType("A", 9), LieType("B", 6), LieType("C", 5),
+                                     LieType("D", 7), LieType("E", 6), LieType("G", 2)],
+                         ids=str)
+def test_column_cache_holds_at_most_rank_plus_one_entries(type_id):
+    # a sweep of bounds across every fundamental dimension
+    dims = sorted(set(build_root_datum(type_id).fund_dims))
+    _search_columns.cache_clear()
+    for d in dims:
+        for b in (d - 1, d, d + 1):
+            enumerate_restricted(type_id, max(b, 1))
+    assert _search_columns.cache_info().currsize <= type_id.rank + 1
 
 
 def test_natural_modules_at_rank_near_800():

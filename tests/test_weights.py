@@ -3,16 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoreps.irreps import _active_columns
 from orthoreps.root_data import LieType, build_root_datum, coroot_columns
 from orthoreps.weights import (
     dim_from_pairings,
     fs_indicator,
+    indicator,
     is_self_dual,
     minus_w0,
     weyl_dimension,
 )
 
-from lie_strategies import any_family_type
+from lie_strategies import FAMILY_RANKS, any_family_type
 
 TYPES = [
     LieType("A", 1), LieType("A", 2), LieType("A", 3), LieType("A", 5),
@@ -252,3 +254,40 @@ class TestIndicator:
         datum = build_root_datum(t)
         total = tuple(a + b for a, b in zip(w, u))
         assert fs_indicator(datum, total) == fs_indicator(datum, w) * fs_indicator(datum, u)
+
+
+def full_rank_indicator(datum, weight):
+    """Oracle: -w0 applied to the whole weight, parity over every coordinate."""
+    if tuple(weight[p] for p in datum.dynkin_symmetry) != weight:
+        return 0
+    return -1 if sum(c * a for c, a in zip(datum.two_rho_check, weight)) % 2 else 1
+
+
+class TestIndicatorOnActiveColumns:
+    @pytest.mark.parametrize("family", sorted(FAMILY_RANKS))
+    def test_active_columns_closed_under_symmetry(self, family):
+        # every bound: the active set only changes at a fundamental dimension
+        lo, hi = FAMILY_RANKS[family]
+        for m in range(lo, hi + 1):
+            datum = build_root_datum(LieType(family, m))
+            sym = datum.dynkin_symmetry
+            for bound in {0, *datum.fund_dims}:
+                cols = _active_columns(datum, bound)
+                assert sorted(sym[c] for c in cols) == list(cols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_full_rank_rule(self, data):
+        t = data.draw(any_family_type())
+        datum = build_root_datum(t)
+        bound = data.draw(st.integers(1, 3000) | st.sampled_from(datum.fund_dims))
+        cols = _active_columns(datum, bound)
+        w = [0] * t.rank
+        for c in cols:
+            w[c] = data.draw(st.integers(0, 5))
+        if data.draw(st.booleans()):  # make it self-dual
+            for c in cols:
+                w[datum.dynkin_symmetry[c]] = w[c]
+        w = tuple(w)
+        assert indicator(datum, w, cols) == full_rank_indicator(datum, w)
+        assert indicator(datum, w, range(t.rank)) == full_rank_indicator(datum, w)
