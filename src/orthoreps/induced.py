@@ -7,17 +7,15 @@ unramified level gives a monomial model: tau acts by the diagonal matrix
 with entries zeta^(t^i mod p) and phi by the cyclic shift.  Matrices live
 over a prime field F_lambda with lambda = 1 (mod p) so all arithmetic is
 exact; the invariant symmetric form pairs coordinate i with i + n/2, which
-is forced by t^(n/2) = -1 (mod p).  Every verdict reads tau, phi and the
-Gram matrix in monomial form (a permutation and one coefficient per column)
-and computes in Python ints, so no verdict can overflow.
+is forced by t^(n/2) = -1 (mod p).  tau, phi and the Gram matrix are held
+in monomial form (a permutation and one coefficient per column) as Python
+ints, so lambda has no size limit and no verdict can overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .arith import factorize, has_order, is_prime
 
@@ -33,6 +31,23 @@ __all__ = [
 ]
 
 
+def _check_tame_data(p: int, t: int, n: int, lam: int | None) -> None:
+    """Raise ValueError unless (p, t, n) and, when given, lambda fit the induction."""
+    if not is_prime(p) or p < 3:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if not is_prime(t):
+        raise ValueError(f"t must be prime, got {t}")
+    if n < 2 or n % 2:
+        raise ValueError(f"n must be even and >= 2, got {n}")
+    if (p - 1) % n or not has_order(t, n, p):  # orders divide p - 1; never factor such an n
+        raise ValueError(
+            f"t={t} does not have order exactly n={n} mod p={p}; "
+            "the induced module would not be irreducible"
+        )
+    if lam is not None and (not is_prime(lam) or lam % p != 1):
+        raise ValueError(f"lambda={lam} must be a prime = 1 (mod p={p})")
+
+
 @dataclass(frozen=True)
 class TameParameters:
     """Arithmetic data of the induction: character order p, residue
@@ -46,39 +61,33 @@ class TameParameters:
     zeta: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if not is_prime(self.t):
-            raise ValueError(f"t must be prime, got {self.t}")
-        if self.n < 2 or self.n % 2:
-            raise ValueError(f"n must be even and >= 2, got {self.n}")
-        if not has_order(self.t, self.n, self.p):
-            raise ValueError(
-                f"t={self.t} does not have order exactly n={self.n} mod p={self.p}; "
-                "the induced module would not be irreducible"
-            )
-        if not is_prime(self.lam) or self.lam % self.p != 1:
-            raise ValueError(f"lambda={self.lam} must be a prime = 1 (mod p={self.p})")
+        _check_tame_data(self.p, self.t, self.n, self.lam)
         if pow(self.zeta, self.p, self.lam) != 1 or self.zeta % self.lam == 1:
             raise ValueError(f"zeta={self.zeta} does not have exact order p in F_{self.lam}")
 
 
+# (sigma, coeffs): the matrix sending e_j to coeffs[j] e_sigma[j] over F_lambda.
+Monomial = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True, eq=False)
 class MonomialRep:
-    """The induced representation: diagonal tau, cyclic phi, and the Gram form."""
+    """The induced representation: diagonal tau, cyclic phi, and the Gram form,
+    each a Monomial of Python ints.  Every verdict checks the generators it
+    reads, so a hand-built rep that is not monomial raises ValueError."""
 
     params: TameParameters
     n: int
     exponents: tuple[int, ...]  # t^i mod p, i = 0..n-1
-    tau: np.ndarray
-    phi: np.ndarray
-    gram: np.ndarray
+    tau: Monomial
+    phi: Monomial
+    gram: Monomial
 
 
-def _default_lambda(p: int, n: int) -> int:
+def _default_lambda(p: int) -> int:
     lam = p + 1
     while True:
-        if lam % 2 and is_prime(lam) and lam % p == 1 and n % lam != 0:
+        if lam % 2 and is_prime(lam) and lam % p == 1:
             return lam
         lam += 1
 
@@ -108,71 +117,55 @@ def _smallest_zeta(p: int, lam: int) -> int:
 def build_induced_rep(p: int, t: int, n: int, lam: int | None = None) -> MonomialRep:
     """Construct the monomial model for the given (p, t, n).
 
-    When lam is omitted the smallest odd prime = 1 (mod p) not dividing n
-    is used; zeta is the smallest element of exact order p.  The order of t,
-    distinct character exponents, the tame relation and Gram symmetry are
-    verified at construction; the Gram matrix is a permutation matrix by
-    construction, so it is invertible.
+    The inputs are validated before any search.  When lam is omitted the
+    smallest odd prime = 1 (mod p) is used; zeta is the smallest element of
+    exact order p.  The order of t, distinct character exponents, the tame
+    relation and Gram symmetry are verified at construction; the Gram matrix
+    is a permutation matrix by construction, so it is invertible.
     """
+    _check_tame_data(p, t, n, lam)
     if lam is None:
-        lam = _default_lambda(p, n)
-    if lam >= 1 << 63:
-        raise ValueError(f"lambda={lam} is not below 2^63, so the int64 tau cannot hold its entries")
+        lam = _default_lambda(p)
     params = TameParameters(p=p, t=t, n=n, lam=lam, zeta=_smallest_zeta(p, lam))
 
     exponents = tuple(pow(t, i, p) for i in range(n))
-    tau = np.zeros((n, n), dtype=np.int64)
-    for i, c in enumerate(exponents):
-        tau[i, i] = pow(params.zeta, c, lam)
-    phi = np.zeros((n, n), dtype=np.int64)
-    for j in range(n):
-        phi[(j - 1) % n, j] = 1  # phi sends basis vector e_j to e_{j-1}
-    gram = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        gram[i, (i + n // 2) % n] = 1
+    ones = (1,) * n
+    tau = (tuple(range(n)), tuple(pow(params.zeta, c, lam) for c in exponents))
+    phi = (tuple((j - 1) % n for j in range(n)), ones)  # phi sends e_j to e_{j-1}
+    gram = (tuple((j + n // 2) % n for j in range(n)), ones)
 
     rep = MonomialRep(params=params, n=n, exponents=exponents, tau=tau, phi=phi, gram=gram)
     if len(set(exponents)) != n:
         raise AssertionError("character exponents collide; order of t mod p is too small")
     if not tame_relation_holds(rep):
         raise AssertionError("tame relation phi tau phi^-1 = tau^t fails")
-    if not bool((gram == gram.T).all()):
+    if _transpose(gram) != gram:
         raise AssertionError("Gram form is not symmetric")
-    for arr in (rep.tau, rep.phi, rep.gram):
-        arr.flags.writeable = False
     return rep
 
 
-# (sigma, coeffs): the matrix sending e_j to coeffs[j] e_sigma[j] over F_lambda.
-Monomial = tuple[list[int], list[int]]
-
-
 def _monomial(rep: MonomialRep, name: str) -> Monomial:
-    """The generator `name` in monomial form.
+    """The generator `name` with its coefficients reduced mod lambda.
 
-    Entries are read as Python ints mod lambda.  Raises ValueError unless the
-    matrix has exactly one nonzero entry in every row and every column.
+    Raises ValueError unless sigma is a permutation of range(n) and there
+    are n coefficients, each nonzero mod lambda.
     """
-    arr = getattr(rep, name)
+    sigma, coeffs = getattr(rep, name)
     lam, n = rep.params.lam, rep.n
-    rows, cols = np.nonzero(arr % lam)
-    one_per_line = len(rows) == len(set(rows.tolist())) == len(set(cols.tolist())) == n
-    if arr.shape != (n, n) or not one_per_line:
+    coeffs = tuple(c % lam for c in coeffs)
+    if sorted(sigma) != list(range(n)) or len(coeffs) != n or 0 in coeffs:
         raise ValueError(
-            f"{name} is not monomial: it needs exactly one nonzero entry mod {lam} "
-            "in every row and every column"
+            f"{name} is not monomial: it needs a permutation of range({n}) "
+            f"and {n} coefficients nonzero mod {lam}"
         )
-    sigma, coeffs = [0] * n, [0] * n
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        sigma[c], coeffs[c] = r, int(arr[r, c]) % lam
-    return sigma, coeffs
+    return tuple(sigma), coeffs
 
 
 def _compose(g: Monomial, h: Monomial, lam: int) -> Monomial:
     """The monomial g h: e_j goes to h_j g_{h(j)} e_{g(h(j))}."""
     (g_sigma, g_coeffs), (h_sigma, h_coeffs) = g, h
-    return ([g_sigma[k] for k in h_sigma],
-            [c * g_coeffs[k] % lam for k, c in zip(h_sigma, h_coeffs)])
+    return (tuple(g_sigma[k] for k in h_sigma),
+            tuple(c * g_coeffs[k] % lam for k, c in zip(h_sigma, h_coeffs)))
 
 
 def _transpose(g: Monomial) -> Monomial:
@@ -181,17 +174,12 @@ def _transpose(g: Monomial) -> Monomial:
     t_sigma, t_coeffs = [0] * len(sigma), [0] * len(sigma)
     for j, k in enumerate(sigma):
         t_sigma[k], t_coeffs[k] = j, coeffs[j]
-    return t_sigma, t_coeffs
-
-
-def _inverse(g: Monomial, lam: int) -> Monomial:
-    sigma, coeffs = _transpose(g)
-    return sigma, [pow(c, -1, lam) for c in coeffs]
+    return tuple(t_sigma), tuple(t_coeffs)
 
 
 def _power(g: Monomial, k: int, lam: int) -> Monomial:
     """g^k by repeated squaring."""
-    out = (list(range(len(g[0]))), [1] * len(g[0]))
+    out = (tuple(range(len(g[0]))), (1,) * len(g[0]))
     while k:
         if k & 1:
             out = _compose(out, g, lam)
@@ -201,11 +189,10 @@ def _power(g: Monomial, k: int, lam: int) -> Monomial:
 
 
 def tame_relation_holds(rep: MonomialRep) -> bool:
-    """True iff phi tau phi^-1 = tau^t over F_lambda."""
+    """True iff phi tau phi^-1 = tau^t over F_lambda, checked as phi tau = tau^t phi."""
     lam = rep.params.lam
     tau, phi = _monomial(rep, "tau"), _monomial(rep, "phi")
-    lhs = _compose(_compose(phi, tau, lam), _inverse(phi, lam), lam)
-    return lhs == _power(tau, rep.params.t, lam)
+    return _compose(phi, tau, lam) == _compose(_power(tau, rep.params.t, lam), phi, lam)
 
 
 def verify_orthogonality(rep: MonomialRep) -> bool:
@@ -294,6 +281,12 @@ def projective_order(rep: MonomialRep, which: str) -> int:
     return m * k
 
 
+def _rows(rep: MonomialRep, name: str) -> list[list[int]]:
+    """The generator `name` as a row-major n x n matrix."""
+    sigma, coeffs = _monomial(rep, name)
+    return [[c if k == row else 0 for k, c in zip(sigma, coeffs)] for row in range(rep.n)]
+
+
 def rep_json(rep: MonomialRep) -> dict:
     """Row-major integer matrices plus all verification verdicts."""
     return {
@@ -303,9 +296,9 @@ def rep_json(rep: MonomialRep) -> dict:
         "lambda": rep.params.lam,
         "zeta": rep.params.zeta,
         "character_exponents": list(rep.exponents),
-        "tau": rep.tau.tolist(),
-        "phi": rep.phi.tolist(),
-        "gram": rep.gram.tolist(),
+        "tau": _rows(rep, "tau"),
+        "phi": _rows(rep, "phi"),
+        "gram": _rows(rep, "gram"),
         "verdicts": {
             "tame_relation": tame_relation_holds(rep),
             "gram_preserved": verify_orthogonality(rep),

@@ -1,7 +1,11 @@
+import hashlib
 import json
 import re
 import shlex
+import signal
 from pathlib import Path
+
+import pytest
 
 from orthoreps.cli import run
 
@@ -118,12 +122,52 @@ class TestInduceCommand:
             "phi_projective_order": 4,
         }
 
-    def test_lambda_from_2_63_rejected(self, capsys):
-        # 2^63 + 123 is a prime = 1 (mod 5), but tau is an int64 array
-        code, out, err = invoke(capsys, "induce", "--p", "5", "--t", "3", "--n", "4",
-                                "--lambda", "9223372036854775931")
+    def test_lambda_above_2_63(self, capsys):
+        # 2^63 + 123 is a prime = 1 (mod 5); tau holds its powers of zeta as Python ints
+        lam = 9223372036854775931
+        code, out, _ = invoke(capsys, "induce", "--p", "5", "--t", "3", "--n", "4",
+                              "--lambda", str(lam))
+        assert code == 0
+        payload = json.loads(out)
+        zeta = payload["zeta"]
+        assert payload["lambda"] == lam and pow(zeta, 5, lam) == 1 != zeta
+        assert min(pow(zeta, j, lam) for j in range(1, 5)) == zeta
+        assert payload["verdicts"] == {
+            "tame_relation": True,
+            "gram_preserved": True,
+            "commutant_dimension": 1,
+            "tau_projective_order": 5,
+            "phi_projective_order": 4,
+        }
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--p", "1000000007", "--t", "4", "--n", "4"), "t must be prime, got 4"),
+        (("--p", "1000000007", "--t", "3", "--n", "5"), "n must be even and >= 2, got 5"),
+        (("--p", "1000000000000000000", "--t", "3", "--n", "4"),
+         "p must be an odd prime, got 1000000000000000000"),
+        (("--p", "8589934609", "--t", "58057635973", "--n", "4", "--lambda", "1000000000000000009"),
+         "lambda=1000000000000000009 must be a prime = 1 (mod p=8589934609)"),
+        # 4 times two primes near 10^17: has_order would factor n by Pollard rho
+        (("--p", "5", "--t", "3", "--n", "40000000000000422400000000000012636"),
+         "t=3 does not have order exactly n=40000000000000422400000000000012636 mod p=5"),
+    ], ids=["t not prime", "n odd", "p not prime", "lambda not 1 mod p", "n not dividing p - 1"])
+    def test_invalid_input_exits_before_any_search(self, capsys, argv, message):
+        # the default-lambda walk, the zeta scan or factoring n would each run for minutes here
+        class Stalled(Exception):
+            pass
+
+        def stall(signum, frame):
+            raise Stalled(f"induce {' '.join(argv)} still running after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, stall)
+        signal.alarm(1)
+        try:
+            code, out, err = invoke(capsys, "induce", *argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert code == 1 and out == ""
-        assert "lambda=9223372036854775931 is not below 2^63" in err
+        assert message in err
 
     def test_lambda_just_below_2_63(self, capsys):
         # zeta comes from a generator of the order-5 subgroup, not a scan of
@@ -138,6 +182,25 @@ class TestInduceCommand:
         assert min(pow(zeta, j, lam) for j in range(1, 5)) == zeta
         assert all(v for v in payload["verdicts"].values())
         assert payload["verdicts"]["tau_projective_order"] == 5
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("5", "3", "4", "11"),
+         "cff1931c17024fa76b56aee2276f5746c2aab36527c012e168920f4ee8ce3275"),
+        (("13", "2", "12"), "a981a99dc74f462e5091fa6e470ae4ed2d235d692a85e43f540f0b6270807dab"),
+        (("7", "17", "6"), "17b3da3ac5a3c0469fda2a6780fa5e29d8d3de8d0687111998e7c5a303f0c3e6"),
+        (("137", "101", "68"), "589e012be71f6c492fc5bd2a2b986bb173db5cc3a5a66716d06a1f5514083509"),
+        (("8589934609", "58057635973", "4", "240518169053"),
+         "38ce58620881b3ececf0572b6eb4d72fb369a15f6ae76d0b7cfcd781c0380e13"),
+        (("5", "3", "4", "9223372036854775421"),
+         "9b35cf582682349fe68f4567a39cbf4d652c0f40a004a4e0afdcb1b33b85d61b"),
+    ])
+    def test_json_bytes_pinned(self, capsys, argv, digest):
+        # sha256 of the full JSON the model printed when tau, phi and the
+        # Gram form were dense int64 arrays
+        flags = ("--p", "--t", "--n", "--lambda")
+        code, out, _ = invoke(capsys, "induce", *(x for pair in zip(flags, argv) for x in pair))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_invalid_order_rejected(self, capsys):
         code, _, err = invoke(capsys, "induce", "--p", "5", "--t", "11", "--n", "4")

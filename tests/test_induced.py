@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,19 +19,32 @@ from orthoreps.induced import (
 )
 
 
+def dense(mono):
+    """The matrix of a monomial (sigma, coeffs) as an object-dtype array of
+    Python ints, so no entry or product overflows whatever lambda is."""
+    sigma, coeffs = mono
+    mat = np.zeros((len(sigma), len(sigma)), dtype=object)
+    mat[list(sigma), range(len(sigma))] = list(coeffs)
+    return mat
+
+
+def identity(n, scale=1):
+    return tuple(range(n)), (scale,) * n
+
+
 def brute_order(mat, lam, limit=500):
     acc = mat.copy()
     for d in range(1, limit + 1):
-        if (acc == np.eye(mat.shape[0], dtype=np.int64)).all():
+        if (acc == np.eye(mat.shape[0], dtype=object)).all():
             return d
         acc = acc @ mat % lam
     raise AssertionError("no finite order found")
 
 
-# Dense reference solvers: int64 matrices, so only for small lambda.
+# Dense reference solvers over Python-int matrices built by `dense`.
 
 def _rank_mod(matrix: np.ndarray, lam: int) -> int:
-    """Rank over F_lambda by Gaussian elimination; rows stay int64 mod lam."""
+    """Rank over F_lambda by Gaussian elimination; rows stay reduced mod lam."""
     m = matrix % lam
     rows, cols = m.shape
     rank = 0
@@ -45,8 +61,10 @@ def _rank_mod(matrix: np.ndarray, lam: int) -> int:
         m[rank] = m[rank] * inv % lam
         hits = np.nonzero(m[:, col])[0]
         hits = hits[hits != rank]
-        if hits.size:
-            m[hits] = (m[hits] - np.outer(m[hits, col], m[rank])) % lam
+        if hits.size:  # the kron rows are sparse: update only the pivot row's support
+            support = np.nonzero(m[rank])[0]
+            block = np.ix_(hits, support)
+            m[block] = (m[block] - np.outer(m[hits, col], m[rank, support])) % lam
         rank += 1
         if rank == rows:
             break
@@ -56,14 +74,14 @@ def _rank_mod(matrix: np.ndarray, lam: int) -> int:
 def dense_commutant_dimension(rep, use=("tau", "phi")):
     """n^2 minus the rank of the stacked kron systems X g - g X = 0."""
     lam, n = rep.params.lam, rep.n
-    eye = np.eye(n, dtype=np.int64)
-    blocks = [(np.kron(eye, g) - np.kron(g.T, eye)) % lam for g in (getattr(rep, u) for u in use)]
+    eye = np.eye(n, dtype=object)
+    blocks = [(np.kron(eye, g) - np.kron(g.T, eye)) % lam for g in (dense(getattr(rep, u)) for u in use)]
     return n * n - _rank_mod(np.vstack(blocks), lam)
 
 
 def dense_projective_order(rep, which, limit=None):
     """Least d whose matrix power g^d is scalar, by repeated products."""
-    g = getattr(rep, which)
+    g = dense(getattr(rep, which))
     lam = rep.params.lam
     acc = g.copy()
     for d in range(1, (limit or rep.params.p * rep.n + 1) + 1):
@@ -83,9 +101,9 @@ def _valid_cases(p_below, t_below, n_max):
 VALID_CASES = _valid_cases(200, 300, 36)
 
 
-def _with(rep, n=None, **arrays):
-    """rep with some generator arrays (and their size n) replaced, unchecked."""
-    fields = {"tau": rep.tau, "phi": rep.phi, "gram": rep.gram, **arrays}
+def _with(rep, n=None, **monomials):
+    """rep with some generators (and their size n) replaced, unchecked."""
+    fields = {"tau": rep.tau, "phi": rep.phi, "gram": rep.gram, **monomials}
     return MonomialRep(params=rep.params, n=n or rep.n, exponents=rep.exponents, **fields)
 
 
@@ -94,8 +112,9 @@ class TestConstruction:
         rep = build_induced_rep(5, 3, 4, 11)
         assert rep.params.zeta == 3
         assert rep.exponents == (1, 3, 4, 2)
-        assert rep.tau.diagonal().tolist() == [3, 5, 4, 9]  # 3^1, 3^3, 3^4, 3^2 mod 11
-        pairs = {(i, j) for i in range(4) for j in range(4) if rep.gram[i, j]}
+        assert rep.tau == ((0, 1, 2, 3), (3, 5, 4, 9))  # 3^1, 3^3, 3^4, 3^2 mod 11
+        gram = dense(rep.gram)
+        pairs = {(i, j) for i in range(4) for j in range(4) if gram[i, j]}
         assert pairs == {(0, 2), (2, 0), (1, 3), (3, 1)}
 
     def test_default_lambda(self):
@@ -105,11 +124,11 @@ class TestConstruction:
 
     def test_tau_order_p(self):
         rep = build_induced_rep(5, 3, 4, 11)
-        assert brute_order(rep.tau, 11) == 5
+        assert brute_order(dense(rep.tau), 11) == 5
 
     def test_phi_order_n(self):
         rep = build_induced_rep(5, 3, 4, 11)
-        assert brute_order(rep.phi, 11) == 4
+        assert brute_order(dense(rep.phi), 11) == 4
 
     def test_accepts_t2_rejects_wrong_order(self):
         assert build_induced_rep(5, 2, 4).n == 4  # ord_5(2) = 4
@@ -147,7 +166,8 @@ class TestSmallestZeta:
         assert _smallest_zeta(p, lam) == scan_zeta(p, lam)
 
     def test_lambda_from_2_63_rejected(self):
-        with pytest.raises(ValueError, match="not below 2\\^63"):
+        # 2^63 is refused for not being prime, before any search for zeta
+        with pytest.raises(ValueError, match=r"^lambda=9223372036854775808 must be a prime = 1 \(mod p=5\)$"):
             build_induced_rep(5, 3, 4, 1 << 63)
 
 
@@ -164,16 +184,16 @@ class TestVerification:
 
     def test_identity_gram_not_preserved(self):
         rep = build_induced_rep(5, 3, 4, 11)
-        assert not verify_orthogonality(_with(rep, gram=np.eye(4, dtype=np.int64)))
+        assert not verify_orthogonality(_with(rep, gram=identity(4)))
 
     def test_gram_is_symmetric_zero_diagonal_unimodular(self):
         for p, t, n in [(5, 3, 4), (13, 2, 12)]:
-            rep = build_induced_rep(p, t, n)
-            assert (rep.gram == rep.gram.T).all()
-            assert not rep.gram.diagonal().any()
+            gram = dense(build_induced_rep(p, t, n).gram)
+            assert (gram == gram.T).all()
+            assert not gram.diagonal().any()
             # one 1 in every row and column: a permutation matrix, det = +-1
-            assert set(np.unique(rep.gram)) == {0, 1}
-            assert (rep.gram.sum(axis=0) == 1).all() and (rep.gram.sum(axis=1) == 1).all()
+            assert set(np.unique(gram)) == {0, 1}
+            assert (gram.sum(axis=0) == 1).all() and (gram.sum(axis=1) == 1).all()
 
     def test_tau_alone_commutant_is_diagonal(self):
         rep = build_induced_rep(5, 3, 4, 11)
@@ -199,19 +219,42 @@ class TestVerification:
 
     def test_projective_order_of_identity_like(self):
         rep = build_induced_rep(3, 2, 2)
-        scalars = _with(rep, tau=np.eye(2, dtype=np.int64) * 3)
+        scalars = _with(rep, tau=identity(2, 3))
         assert projective_order(scalars, "tau") == 1
 
 
+def _first_prime_lambda_from_2_63(p, skip):
+    """A prime lambda = k p + 1 >= 2^63, the first after skipping `skip` values of k."""
+    start = ((1 << 63) // p + 1 + skip) * p + 1
+    return next(lam for lam in itertools.count(start, p) if is_prime(lam))
+
+
 class TestDenseOracles:
-    @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(VALID_CASES))
-    def test_verdicts_match_dense_solve_and_power_loop(self, case):
-        rep = build_induced_rep(*case)
+    @staticmethod
+    def _match_dense(rep):
         for use in (("tau",), ("phi",), ("tau", "phi")):
             assert commutant_dimension(rep, use) == dense_commutant_dimension(rep, use), use
         for which in ("tau", "phi"):
             assert projective_order(rep, which) == dense_projective_order(rep, which), which
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(VALID_CASES))
+    def test_verdicts_match_dense_solve_and_power_loop(self, case):
+        self._match_dense(build_induced_rep(*case))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from([c for c in VALID_CASES if c[2] <= 6]), st.integers(0, 1000))
+    def test_lambda_from_2_63_matches_dense(self, case, skip):
+        # Python-int generators hold lambda >= 2^63 exactly; the dense oracles
+        # compute over object-dtype matrices, so neither side can wrap
+        lam = _first_prime_lambda_from_2_63(case[0], skip)
+        rep = build_induced_rep(*case, lam)
+        assert rep.params.lam == lam and pow(rep.params.zeta, case[0], lam) == 1
+        self._match_dense(rep)
+        assert tame_relation_holds(rep) and verify_orthogonality(rep)
+        gram = dense(rep.gram)
+        for g in (dense(rep.tau), dense(rep.phi)):
+            assert (g.T @ gram @ g % lam == gram).all()
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(5, 3, 4, 11), (7, 3, 6, 43), (3, 2, 2, 7), (5, 2, 4, 61)]), st.data())
@@ -221,14 +264,12 @@ class TestDenseOracles:
         base = build_induced_rep(*case)
         lam = base.params.lam
         n = data.draw(st.integers(1, 6))
-        arrays = {}
+        monomials = {}
         for name in ("tau", "phi"):
             sigma = data.draw(st.permutations(range(n)))
             coeffs = data.draw(st.lists(st.integers(1, lam - 1), min_size=n, max_size=n))
-            arr = np.zeros((n, n), dtype=np.int64)
-            arr[sigma, range(n)] = coeffs
-            arrays[name] = arr
-        rep = _with(base, n=n, gram=np.eye(n, dtype=np.int64), **arrays)
+            monomials[name] = (tuple(sigma), tuple(coeffs))
+        rep = _with(base, n=n, gram=identity(n), **monomials)
         for use in (("tau",), ("phi",), ("tau", "phi")):
             assert commutant_dimension(rep, use) == dense_commutant_dimension(rep, use), use
         limit = 720 * (lam - 1)  # 6! bounds the lcm of the cycle lengths
@@ -237,8 +278,8 @@ class TestDenseOracles:
 
     def test_hand_built_reps(self):
         rep = build_induced_rep(5, 3, 4, 11)
-        scalar = _with(rep, tau=np.eye(4, dtype=np.int64) * 4)
-        identity_gram = _with(rep, gram=np.eye(4, dtype=np.int64))
+        scalar = _with(rep, tau=identity(4, 4))
+        identity_gram = _with(rep, gram=identity(4))
         for hand in (scalar, identity_gram):
             for use in (("tau",), ("phi",), ("tau", "phi")):
                 assert commutant_dimension(hand, use) == dense_commutant_dimension(hand, use)
@@ -250,7 +291,8 @@ class TestDenseOracles:
         assert tame_relation_holds(scalar) is False
         assert verify_orthogonality(scalar) is False  # 4 * 4 = 5 != 1 mod 11
         # 2 phi still conjugates tau to tau^t, but scales the form by 4
-        doubled = _with(rep, phi=rep.phi * 2)
+        sigma, coeffs = rep.phi
+        doubled = _with(rep, phi=(sigma, tuple(2 * c for c in coeffs)))
         assert tame_relation_holds(doubled) is True
         assert verify_orthogonality(doubled) is False
         assert projective_order(doubled, "phi") == 4
@@ -258,19 +300,23 @@ class TestDenseOracles:
 
 class TestNonMonomial:
     @pytest.mark.parametrize("name", ["tau", "phi", "gram"])
-    @pytest.mark.parametrize("defect", ["zero column", "two in a row", "entry equal to lambda"])
+    @pytest.mark.parametrize("defect", ["zero column", "two in a row", "entry equal to lambda",
+                                        "coefficient missing"])
     def test_named_value_error(self, name, defect):
+        # each defect of a matrix restated on (sigma, coeffs): a zero column is
+        # a zero coefficient, two entries in a row a repeated sigma entry
         rep = build_induced_rep(5, 3, 4, 11)
-        arr = getattr(rep, name).copy()
-        row, col = np.argwhere(arr)[0]
+        sigma, coeffs = map(list, getattr(rep, name))
         if defect == "zero column":
-            arr[:, col] = 0
+            coeffs[0] = 0
         elif defect == "two in a row":
-            arr[row, (col + 1) % 4] = 1
+            sigma[0] = sigma[1]
+        elif defect == "entry equal to lambda":
+            coeffs[0] = 11
         else:
-            arr[row, col] = 11
-        broken = _with(rep, **{name: arr})
-        calls = [lambda: verify_orthogonality(broken)]
+            del coeffs[0]
+        broken = _with(rep, **{name: (tuple(sigma), tuple(coeffs))})
+        calls = [lambda: verify_orthogonality(broken), lambda: rep_json(broken)]
         if name != "gram":
             calls += [lambda: tame_relation_holds(broken),
                       lambda: commutant_dimension(broken, use=(name,)),
@@ -295,5 +341,10 @@ class TestJson:
 
     def test_matrices_readonly(self):
         rep = build_induced_rep(5, 3, 4, 11)
-        with pytest.raises(ValueError):
-            rep.tau[0, 0] = 1
+        for name in ("tau", "phi", "gram"):
+            sigma, coeffs = getattr(rep, name)
+            for part in (sigma, coeffs):
+                with pytest.raises(TypeError):
+                    part[0] = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rep, name, identity(4))
