@@ -75,7 +75,8 @@ def dense_commutant_dimension(rep, use=("tau", "phi")):
     """n^2 minus the rank of the stacked kron systems X g - g X = 0."""
     lam, n = rep.params.lam, rep.n
     eye = np.eye(n, dtype=object)
-    blocks = [(np.kron(eye, g) - np.kron(g.T, eye)) % lam for g in (dense(getattr(rep, u)) for u in use)]
+    mats = [dense(getattr(rep, u)) for u in use]
+    blocks = [(np.kron(eye, g) - np.kron(g.T, eye)) % lam for g in mats]
     return n * n - _rank_mod(np.vstack(blocks), lam)
 
 
@@ -167,7 +168,8 @@ class TestSmallestZeta:
 
     def test_lambda_from_2_63_rejected(self):
         # 2^63 is refused for not being prime, before any search for zeta
-        with pytest.raises(ValueError, match=r"^lambda=9223372036854775808 must be a prime = 1 \(mod p=5\)$"):
+        message = r"^lambda=9223372036854775808 must be a prime = 1 \(mod p=5\)$"
+        with pytest.raises(ValueError, match=message):
             build_induced_rep(5, 3, 4, 1 << 63)
 
 
