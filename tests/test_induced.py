@@ -225,12 +225,6 @@ class TestVerification:
         assert projective_order(scalars, "tau") == 1
 
 
-def _first_prime_lambda_from_2_63(p, skip):
-    """A prime lambda = k p + 1 >= 2^63, the first after skipping `skip` values of k."""
-    start = ((1 << 63) // p + 1 + skip) * p + 1
-    return next(lam for lam in itertools.count(start, p) if is_prime(lam))
-
-
 class TestDenseOracles:
     @staticmethod
     def _match_dense(rep):
@@ -249,7 +243,8 @@ class TestDenseOracles:
     def test_lambda_from_2_63_matches_dense(self, case, skip):
         # Python-int generators hold lambda >= 2^63 exactly; the dense oracles
         # compute over object-dtype matrices, so neither side can wrap
-        lam = _first_prime_lambda_from_2_63(case[0], skip)
+        start = ((1 << 63) // case[0] + 1 + skip) * case[0] + 1  # k p + 1 >= 2^63
+        lam = next(q for q in itertools.count(start, case[0]) if is_prime(q))
         rep = build_induced_rep(*case, lam)
         assert rep.params.lam == lam and pow(rep.params.zeta, case[0], lam) == 1
         self._match_dense(rep)
