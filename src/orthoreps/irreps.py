@@ -17,6 +17,7 @@ ingested from a CSV exceptions file rather than computed.
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -94,8 +95,12 @@ class ExceptionRecord:
 
 
 def _active_columns(datum: RootDatum, bound: int) -> tuple[int, ...]:
-    """The columns whose fundamental modules fit the bound; no hit leaves them."""
-    return tuple(c for c, d in enumerate(datum.fund_dims) if d <= bound)
+    """The columns whose fundamental modules fit the bound; no hit leaves them.
+
+    They are the prefix of fund_order up to the bound, found by bisection.
+    """
+    order = datum.fund_order
+    return tuple(sorted(order[:bisect_right(order, bound, key=datum.fund_dims.__getitem__)]))
 
 
 @lru_cache(maxsize=None)
@@ -106,12 +111,16 @@ def _search_columns(type_id: LieType, cols: tuple[int, ...]) -> tuple[np.ndarray
     -w0 keeps dimensions, so that set is closed under the diagram symmetry,
     which the indicator on those columns relies on and which is checked
     here, once per entry.  The set grows with the bound, so a type has at
-    most rank + 1 entries.
+    most rank + 1 entries.  The heights are kept as int32 (they are at most
+    2 * rank - 1), a third less memory per coroot than int64.
     """
     sym = diagram_automorphism(type_id)
     if sorted(sym[c] for c in cols) != list(cols):
         raise AssertionError(f"{type_id}: columns {cols} not closed under the diagram symmetry")
-    return coroot_columns(type_id, cols)
+    sub, heights = coroot_columns(type_id, cols)
+    heights = heights.astype(np.int32)
+    heights.flags.writeable = False
+    return sub, heights
 
 
 def _search_weights(datum: RootDatum, cols: tuple[int, ...],
@@ -124,7 +133,7 @@ def _search_weights(datum: RootDatum, cols: tuple[int, ...],
     if not cols:
         return [(zero, 1)]
     sub, heights = _search_columns(datum.type_id, cols)
-    sub = sub.astype(np.int64)  # R x a
+    sub, heights = sub.astype(np.int64), heights.astype(np.int64)  # R x a, R
 
     def bump(w: tuple[int, ...], j: int) -> tuple[int, ...]:
         c = cols[j]

@@ -95,13 +95,16 @@ class RootDatum:
     reads per (type, active columns).  two_rho_check[i] is
     ``<omega_i, 2 rho^vee>``, the i-th coordinate of the sum of the positive
     coroots, and fund_dims[i] is the exact dimension of the fundamental
-    module L(omega_i).
+    module L(omega_i).  fund_order lists the columns in ascending order of
+    fund_dims, so the columns whose fundamental modules fit a bound are a
+    prefix of it.
     """
 
     type_id: LieType
     rank: int
     two_rho_check: tuple[int, ...]
     fund_dims: tuple[int, ...]
+    fund_order: tuple[int, ...]
     dynkin_symmetry: tuple[int, ...]
     epsilon: int
 
@@ -371,6 +374,10 @@ def build_root_datum(type_id: LieType) -> RootDatum:
         rank=m,
         two_rho_check=tuple(two_rho),
         fund_dims=tuple(fund_dims),
+        # The classical dimensions rise and then fall, or end in the spin
+        # modules, so this sort meets at most two runs.  perm holds every
+        # column once; sorting it shares its int objects, not new ones.
+        fund_order=tuple(sorted(perm, key=fund_dims.__getitem__)),
         dynkin_symmetry=perm,
         epsilon=_epsilon(type_id),
     )

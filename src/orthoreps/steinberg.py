@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .arith import is_prime
 from .irreps import (
@@ -142,26 +142,42 @@ def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate], mode: str,
     )
 
 
+def _split_missing(
+    facts: Sequence[tuple[int, ...]], have: Container[int]
+) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], str]]]:
+    """The factorizations whose parts all lie in have, and the others with a note detail.
+
+    The detail names the least part not in have.  Which factorizations are
+    complete depends on a type only through the divisors of n its table
+    holds, so callers split once per such set.
+    """
+    complete: list[tuple[int, ...]] = []
+    missing: list[tuple[tuple[int, ...], str]] = []
+    for fact in facts:
+        # fact is ascending, so the first part not in have is the least
+        lack = next((d for d in fact if d not in have), None)
+        if lack is None:
+            complete.append(fact)
+        else:
+            missing.append((fact, f"no restricted module of dimension {lack}"))
+    return complete, missing
+
+
 def _assemble(
     type_id: LieType,
     facts: Sequence[tuple[int, ...]],
     by_dim: dict[int, list[IrrepCandidate]],
     mode: str,
 ) -> tuple[list[TensorCandidate], list[tuple[str, tuple[int, ...], str, int]]]:
-    """Products of this type for each factorization, plus raw exclusion events.
+    """Products of this type for each complete factorization, plus raw exclusion events.
 
-    Events are (rule, factorization, detail, count) tuples, aggregated later
-    across ranks.
+    Every part of every factorization in facts must be a key of by_dim (see
+    _split_missing).  Events are (rule, factorization, detail, count)
+    tuples, aggregated later across ranks.
     """
     products: list[TensorCandidate] = []
     events: list[tuple[str, tuple[int, ...], str, int]] = []
     for fact in facts:
-        missing = sorted(d for d in set(fact) if d not in by_dim)
-        if missing:
-            events.append(
-                ("missing-factor-dimension", fact, f"no restricted module of dimension {missing[0]}", 1)
-            )
-            continue
         if len(fact) == 1:
             products.extend(_tensor(type_id, (c,), mode) for c in by_dim[fact[0]])
             continue
@@ -215,7 +231,8 @@ def steinberg_products(
     if n < 2:
         raise ValueError(f"target dimension must be >= 2, got {n}")
     by_dim = _factors_by_dim(type_id, n, exceptions)
-    products, _ = _assemble(type_id, factorizations(n), by_dim, mode)
+    complete, _ = _split_missing(factorizations(n), by_dim)
+    products, _ = _assemble(type_id, complete, by_dim, mode)
     products.sort(key=_product_sort_key)
     return products
 
@@ -235,8 +252,7 @@ def _check_mode(mode: str) -> None:
 
 def _scan_one_type(
     type_id: LieType,
-    facts: Sequence[tuple[int, ...]],
-    by_dim: dict[int, list[IrrepCandidate]],
+    products: Sequence[TensorCandidate],
     n: int,
     mode: str,
     min_char: int,
@@ -244,12 +260,10 @@ def _scan_one_type(
 ):
     """Kept candidates, exclusion events and the non-self-dual count of one type.
 
-    by_dim is `_factors_by_dim` of this type at any bound >= n: assembly reads
-    it only at the divisors of n, and a factor's flags depend on its weight,
-    not on the bound.
+    products are the type's assembled products of dimension n; the type's
+    ingested exception records of dimension n are added here.
     """
-    products, events = _assemble(type_id, facts, by_dim, mode)
-
+    events: list[tuple[str, tuple[int, ...], str, int]] = []
     kept: list[TensorCandidate] = []
     non_self_dual = 0
     for tc in products:
@@ -330,7 +344,12 @@ def _classify(
     exceptions: Sequence[ExceptionRecord],
     factors_of: Callable[[LieType], dict[int, list[IrrepCandidate]]],
 ) -> ClassificationReport:
-    """classify_orthogonal, with each type's `_factors_by_dim` table from factors_of."""
+    """classify_orthogonal, with each type's `_factors_by_dim` table from factors_of.
+
+    The table may come from any bound >= n: only its entries at the divisors
+    of n are read, and a factor's flags depend on its weight, not on the
+    bound.
+    """
     if n < 2 or n % 2:
         raise ValueError(f"target dimension must be even and >= 2, got {n}")
     _check_mode(mode)
@@ -341,20 +360,37 @@ def _classify(
                          f"got {min_char}")
 
     facts = factorizations(n)
-    types = default_scan_types(n)
-    results = [_scan_one_type(t, facts, factors_of(t), n, mode, min_char, exceptions)
-               for t in types]
+    divisors = {d for fact in facts for d in fact}
+    split = functools.cache(lambda have: _split_missing(facts, have))
 
     orthogonal: list[TensorCandidate] = []
     symplectic: list[TensorCandidate] = []
     non_self_dual = 0
-    raw: dict[tuple[str, str, tuple[int, ...], str], list[tuple[int, int]]] = {}
-    for t, (kept, events, nsd) in zip(types, results):
+    # note key (rule, family, factorization, detail) -> [ranks, count]
+    raw: dict[tuple[str, str, tuple[int, ...], str], list] = {}
+
+    def tally(key: tuple[str, str, tuple[int, ...], str], ranks: Iterable[int], count: int) -> None:
+        hit = raw.setdefault(key, [set(), 0])
+        hit[0].update(ranks)
+        hit[1] += count
+
+    # (family, divisors of n in the type's table) -> ranks: the types of a
+    # group miss the same factorizations, so their notes are made once.
+    groups: dict[tuple[str, frozenset[int]], list[int]] = {}
+    for t in default_scan_types(n):
+        by_dim = factors_of(t)
+        have = frozenset(d for d in divisors if d in by_dim)
+        groups.setdefault((t.family, have), []).append(t.rank)
+        products, events = _assemble(t, split(have)[0], by_dim, mode)
+        kept, dropped, nsd = _scan_one_type(t, products, n, mode, min_char, exceptions)
         non_self_dual += nsd
         for tc in kept:
             (orthogonal if tc.fs == 1 else symplectic).append(tc)
-        for rule, fact, detail, count in events:
-            raw.setdefault((rule, t.family, fact, detail), []).append((t.rank, count))
+        for rule, fact, detail, count in events + dropped:
+            tally((rule, t.family, fact, detail), (t.rank,), count)
+    for (family, have), ranks in groups.items():
+        for fact, detail in split(have)[1]:
+            tally(("missing-factor-dimension", family, fact, detail), ranks, len(ranks))
 
     for tc in orthogonal + symplectic:
         for f in tc.factors:
@@ -367,12 +403,12 @@ def _classify(
         ExclusionNote(
             rule=rule,
             family=family,
-            ranks=_compress_ranks(sorted({r for r, _ in hits})),
+            ranks=_compress_ranks(sorted(ranks)),
             factorization=fact,
             detail=detail,
-            count=sum(c for _, c in hits),
+            count=count,
         )
-        for (rule, family, fact, detail), hits in sorted(raw.items())
+        for (rule, family, fact, detail), (ranks, count) in sorted(raw.items())
     )
     key = lambda tc: (tc.type_id, _product_sort_key(tc))
     return ClassificationReport(

@@ -55,16 +55,19 @@ def dim_from_pairings(heights: np.ndarray, pairings: np.ndarray) -> int:
     if nz.size == 0:
         return 1
     hs = heights[nz]
-    both = np.concatenate((hs + pairings[nz], hs))
-    if both.max() < _DENSE_LIMIT:
-        vals, idx = np.arange(both.max() + 1), both
+    tops = hs + pairings[nz]
+    top = int(tops.max())  # the largest of all the values: s >= 0
+    if top < _DENSE_LIMIT:
+        e = np.bincount(tops) - np.bincount(hs, minlength=top + 1)
+        vs = vals = e.nonzero()[0]
     else:
-        vals, idx = np.unique(both, return_inverse=True)
-    k = nz.size
-    e = np.bincount(idx[:k], minlength=vals.size) - np.bincount(idx[k:], minlength=vals.size)
+        uniq, idx = np.unique(np.concatenate((tops, hs)), return_inverse=True)
+        k = nz.size
+        e = np.bincount(idx[:k], minlength=uniq.size) - np.bincount(idx[k:], minlength=uniq.size)
+        vs = e.nonzero()[0]
+        vals = uniq[vs]
     numer = denom = 1
-    vs = e.nonzero()[0]
-    for v, k in zip(vals[vs].tolist(), e[vs].tolist()):
+    for v, k in zip(vals.tolist(), e[vs].tolist()):
         if k > 0:
             numer *= v**k
         else:

@@ -157,6 +157,7 @@ def test_column_cache_is_transparent(type_id):
 def test_column_cache_is_read_only():
     datum = build_root_datum(LieType("D", 7))
     sub, heights = _search_columns(datum.type_id, _active_columns(datum, 100))
+    assert heights.dtype == np.int32  # at most 2 * rank - 1
     with pytest.raises(ValueError):
         sub[0, 0] = 1
     with pytest.raises(ValueError):

@@ -5,14 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoreps import steinberg
-from orthoreps.irreps import ExceptionRecord, default_scan_types, load_exceptions
+from orthoreps.irreps import (
+    GENERIC_CHAR_FLOOR,
+    ExceptionRecord,
+    default_scan_types,
+    load_exceptions,
+)
 from orthoreps.root_data import LieType
 from orthoreps.steinberg import (
     MODE_ALL,
     MODE_ORBIT,
+    ClassificationReport,
+    ExclusionNote,
     classify_orthogonal,
     evidence_json,
     factorizations,
+    report_json,
     steinberg_products,
     theorem1_sweep,
     verify_theorem1,
@@ -241,11 +249,83 @@ def _count_enumerations(monkeypatch) -> list[tuple[LieType, int]]:
     st.sampled_from([MODE_ORBIT, MODE_ALL]),
 )
 def test_assembly_reads_a_larger_bound_table_only_at_n(type_id, half_n, extra, mode):
-    """A factor table built at any bound >= n gives the products and events of bound n."""
+    """A factor table built at any bound >= n gives the split, products and events of bound n."""
     n = 2 * half_n
     facts = factorizations(n)
-    at_n = steinberg._assemble(type_id, facts, steinberg._factors_by_dim(type_id, n, ()), mode)
-    wide = steinberg._assemble(
-        type_id, facts, steinberg._factors_by_dim(type_id, n + extra, ()), mode)
-    assert wide[1] == at_n[1]
-    assert sorted(wide[0], key=steinberg._product_sort_key) == steinberg_products(type_id, n, mode)
+    runs = []
+    for bound in (n, n + extra):
+        by_dim = steinberg._factors_by_dim(type_id, bound, ())
+        complete, missing = steinberg._split_missing(facts, by_dim)
+        runs.append((missing, *steinberg._assemble(type_id, complete, by_dim, mode)))
+    (missing_n, _, events_n), (missing_wide, products, events_wide) = runs
+    assert missing_wide == missing_n and events_wide == events_n
+    assert sorted(products, key=steinberg._product_sort_key) == steinberg_products(type_id, n, mode)
+
+
+def _oracle_assemble(type_id, facts, by_dim, mode):
+    """Assembly with the missing-dimension check made per type and per factorization."""
+    products, events = [], []
+    for fact in facts:
+        missing = sorted(d for d in set(fact) if d not in by_dim)
+        if missing:
+            events.append(
+                ("missing-factor-dimension", fact, f"no restricted module of dimension {missing[0]}", 1)
+            )
+            continue
+        more, more_events = steinberg._assemble(type_id, [fact], by_dim, mode)
+        products += more
+        events += more_events
+    return products, events
+
+
+def oracle_classify(n, min_char, mode, exceptions, factors_of):
+    """Reference classification: one event per (type, factorization), aggregated
+    by listing every (rank, count) hit of each note key."""
+    if min_char is None:
+        min_char = max(GENERIC_CHAR_FLOOR, n + 1)
+    facts = factorizations(n)
+    orthogonal, symplectic, non_self_dual, raw = [], [], 0, {}
+    for t in default_scan_types(n):
+        products, events = _oracle_assemble(t, facts, factors_of(t), mode)
+        kept, dropped, nsd = steinberg._scan_one_type(t, products, n, mode, min_char, exceptions)
+        non_self_dual += nsd
+        for tc in kept:
+            (orthogonal if tc.fs == 1 else symplectic).append(tc)
+        for rule, fact, detail, count in events + dropped:
+            raw.setdefault((rule, t.family, fact, detail), []).append((t.rank, count))
+    notes = tuple(
+        ExclusionNote(rule=rule, family=family,
+                      ranks=steinberg._compress_ranks(sorted({r for r, _ in hits})),
+                      factorization=fact, detail=detail, count=sum(c for _, c in hits))
+        for (rule, family, fact, detail), hits in sorted(raw.items())
+    )
+    key = lambda tc: (tc.type_id, steinberg._product_sort_key(tc))
+    return ClassificationReport(n=n, mode=mode, min_char=min_char,
+                                orthogonal=tuple(sorted(orthogonal, key=key)),
+                                symplectic=tuple(sorted(symplectic, key=key)),
+                                excluded_non_self_dual=non_self_dual, notes=notes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 60).map(lambda h: 2 * h) | st.sampled_from([144, 240, 288]),
+    st.sampled_from([MODE_ORBIT, MODE_ALL]),
+    st.sampled_from([None, 20]),
+    st.booleans(),
+)
+def test_notes_per_divisor_signature_match_oracle(n, mode, min_char, with_exceptions):
+    # One self-dual record (B2, kept or below the floor) and one that is not (A2).
+    exceptions = (ExceptionRecord(LieType("B", 2), (3, 1), 23, n),
+                  ExceptionRecord(LieType("A", 2), (2, 0), 3, n)) if with_exceptions else ()
+    report = classify_orthogonal(n, min_char, mode, exceptions)
+    oracle = oracle_classify(n, min_char, mode, exceptions,
+                             lambda t: steinberg._factors_by_dim(t, n, exceptions))
+    assert json.dumps(report_json(report)) == json.dumps(report_json(oracle))
+
+
+def test_sweep_notes_match_oracle():
+    # The sweep's tables are built at 4 * 19 = 76 and read at n = 68 too.
+    for ev in theorem1_sweep([17, 19]):
+        oracle = oracle_classify(ev.n, ev.n + 1, MODE_ORBIT, (),
+                                 lambda t: steinberg._factors_by_dim(t, 76, ()))
+        assert json.dumps(report_json(ev.report)) == json.dumps(report_json(oracle))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from orthoreps.irreps import _active_columns
 from orthoreps.root_data import LieType, build_root_datum, coroot_columns
 from orthoreps.weights import (
+    _DENSE_LIMIT,
     dim_from_pairings,
     fs_indicator,
     indicator,
@@ -151,6 +152,19 @@ class TestDimFromPairings:
             assert weyl_dimension(build_root_datum(type_id), w) == balanced_dim_from_pairings(
                 heights, pair)
 
+    @pytest.mark.parametrize("a", [_DENSE_LIMIT - 2, _DENSE_LIMIT - 1, _DENSE_LIMIT])
+    def test_dense_and_distinct_value_counts_agree(self, a):
+        # The largest h + s is a + 1, on either side of the largest value
+        # that is still bincounted densely: for A1 at weight a (one coroot,
+        # of height 1), and for A2 at (a - 1, 0), whose highest coroot has
+        # height 2, so that the denominator is not 1.
+        for type_id, w, dim in ((LieType("A", 1), (a,), a + 1),
+                                (LieType("A", 2), (a - 1, 0), a * (a + 1) // 2)):
+            coroots, heights = coroot_columns(type_id, range(type_id.rank))
+            pair = coroots @ np.asarray(w, dtype=np.int64)
+            assert int((heights + pair).max()) == a + 1
+            assert dim_from_pairings(heights, pair) == balanced_dim_from_pairings(heights, pair) == dim
+
     @pytest.mark.parametrize("type_id", [LieType("A", 1), LieType("A", 2), LieType("B", 3),
                                          LieType("G", 2), LieType("E", 6)], ids=str)
     def test_corrupted_heights_raise(self, type_id):
@@ -274,6 +288,18 @@ class TestIndicatorOnActiveColumns:
             for bound in {0, *datum.fund_dims}:
                 cols = _active_columns(datum, bound)
                 assert sorted(sym[c] for c in cols) == list(cols)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_RANKS))
+    def test_active_columns_match_scan(self, family):
+        # Oracle: every column whose fundamental dimension fits, by a full
+        # scan; each bound next to a dimension, so ties (A's C(m+1, k) =
+        # C(m+1, m+1-k), D's half-spin fork) are met on both sides.
+        lo, hi = FAMILY_RANKS[family]
+        for m in range(lo, hi + 1):
+            datum = build_root_datum(LieType(family, m))
+            for bound in {b for d in datum.fund_dims for b in (d - 1, d, d + 1)}:
+                want = tuple(c for c, d in enumerate(datum.fund_dims) if d <= bound)
+                assert _active_columns(datum, bound) == want, (family, m, bound)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
