@@ -56,10 +56,13 @@ class IrrepCandidate:
     type_id: LieType
     weight: tuple[int, ...]
     dim: int
-    self_dual: bool
     fs: int  # +1 orthogonal, -1 symplectic, 0 not self-dual
     epsilon: int
     min_char: int
+
+    @property
+    def self_dual(self) -> bool:
+        return self.fs != 0
 
     @classmethod
     def of(cls, datum: RootDatum, weight: tuple[int, ...], dim: int, cols: Sequence[int],
@@ -71,13 +74,11 @@ class IrrepCandidate:
         matching_ells are the characteristics of ingested exceptions for this
         weight; they can only raise min_char.
         """
-        fs = indicator(datum, weight, cols)
         return cls(
             type_id=datum.type_id,
             weight=weight,
             dim=dim,
-            self_dual=fs != 0,
-            fs=fs,
+            fs=indicator(datum, weight, cols),
             epsilon=datum.epsilon,
             min_char=_min_char(weight, cols, matching_ells),
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from typing import Callable, Container, Iterable, Sequence
 
 from .arith import is_prime
@@ -76,12 +76,14 @@ class TensorCandidate:
 
     type_id: LieType
     factors: tuple[IrrepCandidate, ...]
-    mode: str
     dim: int
-    self_dual: bool
-    fs: int
+    fs: int  # the product of the factors' indicators, so 0 iff a factor is not self-dual
     min_char: int
     non_generic_ell: int | None = None
+
+    @property
+    def self_dual(self) -> bool:
+        return self.fs != 0
 
 
 @dataclass(frozen=True)
@@ -118,25 +120,14 @@ class Theorem1Evidence:
     report: ClassificationReport
 
 
-def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate], mode: str,
+def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate],
             non_generic_ell: int | None = None) -> TensorCandidate:
     factors = tuple(sorted(factors, key=lambda c: (-c.dim, c.weight)))
-    dim = 1
-    for c in factors:
-        dim *= c.dim
-    self_dual = all(c.self_dual for c in factors)
-    fs = 0
-    if self_dual:
-        fs = 1
-        for c in factors:
-            fs *= c.fs
     return TensorCandidate(
         type_id=type_id,
         factors=factors,
-        mode=mode,
-        dim=dim,
-        self_dual=self_dual,
-        fs=fs,
+        dim=prod(c.dim for c in factors),
+        fs=prod(c.fs for c in factors),
         min_char=max(c.min_char for c in factors),
         non_generic_ell=non_generic_ell,
     )
@@ -179,17 +170,14 @@ def _assemble(
     events: list[tuple[str, tuple[int, ...], str, int]] = []
     for fact in facts:
         if len(fact) == 1:
-            products.extend(_tensor(type_id, (c,), mode) for c in by_dim[fact[0]])
+            products.extend(_tensor(type_id, (c,)) for c in by_dim[fact[0]])
             continue
         counts = {d: fact.count(d) for d in set(fact)}
-        total = 1
-        for d, r in counts.items():
-            k = len(by_dim[d])
-            total *= comb(k + r - 1, r)
         if mode == MODE_ORBIT:
+            total = prod(comb(len(by_dim[d]) + r - 1, r) for d, r in counts.items())
             if len(set(fact)) == 1:
                 d = fact[0]
-                products.extend(_tensor(type_id, (c,) * len(fact), mode) for c in by_dim[d])
+                products.extend(_tensor(type_id, (c,) * len(fact)) for c in by_dim[d])
                 skipped = total - len(by_dim[d])
             else:
                 skipped = total
@@ -205,7 +193,7 @@ def _assemble(
             ]
             for combo in itertools.product(*pools):
                 factors = tuple(itertools.chain.from_iterable(combo))
-                products.append(_tensor(type_id, factors, mode))
+                products.append(_tensor(type_id, factors))
     return products, events
 
 
@@ -226,7 +214,11 @@ def steinberg_products(
     mode: str = MODE_ORBIT,
     exceptions: Sequence[ExceptionRecord] = (),
 ) -> list[TensorCandidate]:
-    """All tensor-product realizations of dimension n within one type."""
+    """The generic tensor products of dimension n within one type.
+
+    exceptions only raise the min_char of the factors they match; only
+    classify_orthogonal adds the products of exception records.
+    """
     _check_mode(mode)
     if n < 2:
         raise ValueError(f"target dimension must be >= 2, got {n}")
@@ -250,58 +242,32 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {MODE_ORBIT!r} or {MODE_ALL!r}, got {mode!r}")
 
 
-def _scan_one_type(
-    type_id: LieType,
-    products: Sequence[TensorCandidate],
-    n: int,
-    mode: str,
-    min_char: int,
-    exceptions: Sequence[ExceptionRecord],
-):
-    """Kept candidates, exclusion events and the non-self-dual count of one type.
+def _exception_products(
+    type_id: LieType, n: int, exceptions: Sequence[ExceptionRecord]
+) -> list[TensorCandidate]:
+    """The type's exception records of dimension n, as products flagged with their ell."""
+    return [
+        _tensor(type_id, (IrrepCandidate.of(build_root_datum(type_id), rec.weight,
+                                            rec.corrected_dim, range(type_id.rank)),),
+                non_generic_ell=rec.ell)
+        for rec in exceptions
+        if rec.type_id == type_id and rec.corrected_dim == n
+    ]
 
-    products are the type's assembled products of dimension n; the type's
-    ingested exception records of dimension n are added here.
+
+def _exclusion(tc: TensorCandidate, floor: int) -> tuple[str, str] | None:
+    """The rule and note detail that drop a product from a scan fixed at floor, or None.
+
+    A product from an exception record is valid at its record's
+    characteristic, so only the self-duality rule applies to it.
     """
-    events: list[tuple[str, tuple[int, ...], str, int]] = []
-    kept: list[TensorCandidate] = []
-    non_self_dual = 0
-    for tc in products:
-        if not tc.self_dual:
-            non_self_dual += 1
-            example = ",".join(str(list(f.weight)) for f in tc.factors[:1])
-            events.append(
-                ("non-self-dual", _fact_of(tc), f"e.g. weight {example}", 1)
-            )
-            continue
-        if tc.min_char > min_char:
-            events.append(
-                ("characteristic-floor", _fact_of(tc),
-                 f"needs characteristic >= {tc.min_char}, scan fixed {min_char}", 1)
-            )
-            continue
-        kept.append(tc)
-
-    # Non-generic candidates contributed by ingested exception records: they
-    # hold only at the record's characteristic and are flagged as such.
-    for rec in exceptions:
-        if rec.type_id != type_id or rec.corrected_dim != n:
-            continue
-        factor = IrrepCandidate.of(build_root_datum(type_id), rec.weight, rec.corrected_dim,
-                                   range(type_id.rank))
-        if not factor.self_dual:
-            non_self_dual += 1
-            events.append(
-                ("non-self-dual", (n,),
-                 f"exception record at ell={rec.ell}, weight {list(rec.weight)}", 1)
-            )
-            continue
-        kept.append(_tensor(type_id, (factor,), mode, non_generic_ell=rec.ell))
-    return kept, events, non_self_dual
-
-
-def _fact_of(tc: TensorCandidate) -> tuple[int, ...]:
-    return tuple(sorted(f.dim for f in tc.factors))
+    if not tc.self_dual:
+        ell = tc.non_generic_ell
+        source = "e.g." if ell is None else f"exception record at ell={ell},"
+        return "non-self-dual", f"{source} weight {list(tc.factors[0].weight)}"
+    if tc.non_generic_ell is None and tc.min_char > floor:
+        return "characteristic-floor", f"needs characteristic >= {tc.min_char}, scan fixed {floor}"
+    return None
 
 
 def _compress_ranks(ranks: list[int]) -> str:
@@ -365,7 +331,6 @@ def _classify(
 
     orthogonal: list[TensorCandidate] = []
     symplectic: list[TensorCandidate] = []
-    non_self_dual = 0
     # note key (rule, family, factorization, detail) -> [ranks, count]
     raw: dict[tuple[str, str, tuple[int, ...], str], list] = {}
 
@@ -382,12 +347,16 @@ def _classify(
         have = frozenset(d for d in divisors if d in by_dim)
         groups.setdefault((t.family, have), []).append(t.rank)
         products, events = _assemble(t, split(have)[0], by_dim, mode)
-        kept, dropped, nsd = _scan_one_type(t, products, n, mode, min_char, exceptions)
-        non_self_dual += nsd
-        for tc in kept:
-            (orthogonal if tc.fs == 1 else symplectic).append(tc)
-        for rule, fact, detail, count in events + dropped:
+        for rule, fact, detail, count in events:
             tally((rule, t.family, fact, detail), (t.rank,), count)
+        for tc in products + _exception_products(t, n, exceptions):
+            dropped = _exclusion(tc, min_char)
+            if dropped is None:
+                (orthogonal if tc.fs == 1 else symplectic).append(tc)
+            else:
+                rule, detail = dropped
+                fact = tuple(sorted(f.dim for f in tc.factors))
+                tally((rule, t.family, fact, detail), (t.rank,), 1)
     for (family, have), ranks in groups.items():
         for fact, detail in split(have)[1]:
             tally(("missing-factor-dimension", family, fact, detail), ranks, len(ranks))
@@ -417,7 +386,7 @@ def _classify(
         min_char=min_char,
         orthogonal=tuple(sorted(orthogonal, key=key)),
         symplectic=tuple(sorted(symplectic, key=key)),
-        excluded_non_self_dual=non_self_dual,
+        excluded_non_self_dual=sum(note.count for note in notes if note.rule == "non-self-dual"),
         notes=notes,
     )
 
@@ -445,32 +414,20 @@ def _check_theorem1_prime(pi: int) -> None:
 def _evidence(pi: int, report: ClassificationReport) -> Theorem1Evidence:
     """The theorem-1 checks on the n = 4*pi report."""
     n = 4 * pi
-    d_type = LieType("D", 2 * pi)
     omega1 = (1,) + (0,) * (2 * pi - 1)
-    passed = (
-        len(report.orthogonal) == 1
-        and report.orthogonal[0].type_id == d_type
-        and len(report.orthogonal[0].factors) == 1
-        and report.orthogonal[0].factors[0].weight == omega1
-    )
-    c_type = LieType("C", 2 * pi)
-    c_omega1 = (1,) + (0,) * (2 * pi - 1)
-    a1_weight = (n - 1,)
-    has_c = any(
-        tc.type_id == c_type and len(tc.factors) == 1 and tc.factors[0].weight == c_omega1
-        for tc in report.symplectic
-    )
-    has_a1 = any(
-        tc.type_id == LieType("A", 1) and len(tc.factors) == 1 and tc.factors[0].weight == a1_weight
-        for tc in report.symplectic
-    )
+
+    def has(products: Sequence[TensorCandidate], type_id: LieType, weight: tuple[int, ...]) -> bool:
+        """Whether products hold the one-factor product L(weight) of type_id."""
+        return any(tc.type_id == type_id and len(tc.factors) == 1
+                   and tc.factors[0].weight == weight for tc in products)
+
     return Theorem1Evidence(
         pi=pi,
         n=n,
-        passed=passed,
+        passed=len(report.orthogonal) == 1 and has(report.orthogonal, LieType("D", 2 * pi), omega1),
         orthogonal=report.orthogonal,
-        symplectic_has_c_natural=has_c,
-        symplectic_has_a1_power=has_a1,
+        symplectic_has_c_natural=has(report.symplectic, LieType("C", 2 * pi), omega1),
+        symplectic_has_a1_power=has(report.symplectic, LieType("A", 1), (n - 1,)),
         report=report,
     )
 

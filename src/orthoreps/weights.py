@@ -101,7 +101,7 @@ def minus_w0(type_id: LieType, weight: Sequence[int]) -> Weight:
 
 def is_self_dual(type_id: LieType, weight: Sequence[int]) -> bool:
     w = as_weight(weight, type_id.rank)
-    return minus_w0(type_id, w) == w
+    return _dual(diagram_automorphism(type_id), w) == w
 
 
 def indicator(datum: RootDatum, weight: Weight, cols: Sequence[int]) -> int:

@@ -207,6 +207,22 @@ class TestInduceCommand:
         assert code == 1 and "order" in err
 
 
+@pytest.mark.parametrize("command,digest", [
+    ("theorem1 --all", "d3242f32559f99e1657d34dbbdce0e062f9991b4bb9de825828009f8734803ae"),
+    ("classify --n 68 --mode orbit", "181a61fc6cf5711bee45a9b18025529ceb2be49aefdaa3fa11a347b8343ce096"),
+    ("classify --n 68 --mode all", "782542a0497a20f62ca0e066ac0ef1465ea11568f1a82eaeaefb41409e141568"),
+    ("classify --n 70 --mode all", "2fae53789629ef6c8a2c5e9b351a7c9f79115e611500bc92548d6c0a19c9c500"),
+    ("classify --n 290 --mode all", "33cb9c9a59c41500054def5d09ba2fd0eec0b07fefe08cb15e0fa9dc01361e7c"),
+    ("classify --n 292 --mode orbit", "5750bcfa9f35b0b56e060bf21184c6e4f44b300ed31a8d1ca29c5032bb928235"),
+    ("classify --n 292 --mode all", "e05ec9c3e4cc4bc451df7d55c8ef00171d334bf505afbf7b632b961bcdd18db6"),
+])
+def test_classification_json_bytes_pinned(capsys, command, digest):
+    # sha256 of the JSON recorded for the same command in benchmark/reference.json
+    code, out, _ = invoke(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestBoundCommand:
     def test_value(self, capsys):
         code, out, _ = invoke(capsys, "bound", "--n", "10", "--k", "1", "--cond", "1")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,11 @@ from orthoreps import steinberg
 from orthoreps.irreps import (
     GENERIC_CHAR_FLOOR,
     ExceptionRecord,
+    IrrepCandidate,
     default_scan_types,
     load_exceptions,
 )
-from orthoreps.root_data import LieType
+from orthoreps.root_data import LieType, build_root_datum
 from orthoreps.steinberg import (
     MODE_ALL,
     MODE_ORBIT,
@@ -27,6 +29,16 @@ from orthoreps.steinberg import (
 )
 
 A1 = LieType("A", 1)
+
+# Each type at an n with multi-factor products, in both modes; A3, D5 and E6
+# give factors that are not self-dual.
+DERIVATION_CASES = [
+    (type_id, n, mode)
+    for type_id, n in [(A1, 36), (A1, 64), (LieType("A", 3), 16), (LieType("B", 2), 16),
+                       (LieType("C", 4), 64), (LieType("D", 5), 256), (LieType("G", 2), 49),
+                       (LieType("E", 6), 729)]
+    for mode in (MODE_ORBIT, MODE_ALL)
+]
 
 
 class TestFactorizations:
@@ -82,11 +94,12 @@ class TestSteinbergProducts:
         )
 
     def test_dim_multiplicative(self):
-        for tc in steinberg_products(A1, 36, MODE_ALL):
-            prod = 1
-            for f in tc.factors:
-                prod *= f.dim
-            assert prod == tc.dim == 36
+        for type_id, n, mode in DERIVATION_CASES:
+            products = steinberg_products(type_id, n, mode)
+            assert products
+            for tc in products:
+                assert tc.dim == math.prod(f.dim for f in tc.factors) == n
+                assert tc.min_char == max(f.min_char for f in tc.factors)
 
     @pytest.mark.parametrize("type_id,n", [(A1, 16), (A1, 36), (LieType("B", 2), 16), (LieType("A", 3), 16)])
     def test_orbit_subset_of_all(self, type_id, n):
@@ -95,12 +108,13 @@ class TestSteinbergProducts:
         assert orbit <= full
 
     def test_sign_rule_on_products(self):
-        for tc in steinberg_products(A1, 64, MODE_ALL):
-            if tc.self_dual:
-                sign = 1
-                for f in tc.factors:
-                    sign *= f.fs
-                assert tc.fs == sign
+        for type_id, n, mode in DERIVATION_CASES:
+            products = steinberg_products(type_id, n, mode)
+            for tc in products:
+                assert tc.fs == math.prod(f.fs for f in tc.factors)
+                assert tc.self_dual == (tc.fs != 0) == all(f.self_dual for f in tc.factors)
+            if type_id in (LieType("A", 3), LieType("D", 5), LieType("E", 6)):
+                assert any(not f.self_dual for tc in products for f in tc.factors)
 
     def test_min_char_exceeds_coefficients(self):
         for tc in steinberg_products(A1, 68, MODE_ALL):
@@ -278,6 +292,34 @@ def _oracle_assemble(type_id, facts, by_dim, mode):
     return products, events
 
 
+def _oracle_filter(type_id, products, n, min_char, exceptions):
+    """Kept products, exclusion events and the non-self-dual count of one type,
+    with the type's exception records of dimension n added."""
+    events, kept, non_self_dual = [], [], 0
+    for tc in products:
+        fact = tuple(sorted(f.dim for f in tc.factors))
+        if not all(f.self_dual for f in tc.factors):
+            non_self_dual += 1
+            events.append(("non-self-dual", fact, f"e.g. weight {list(tc.factors[0].weight)}", 1))
+        elif tc.min_char > min_char:
+            events.append(("characteristic-floor", fact,
+                           f"needs characteristic >= {tc.min_char}, scan fixed {min_char}", 1))
+        else:
+            kept.append(tc)
+    for rec in exceptions:
+        if rec.type_id != type_id or rec.corrected_dim != n:
+            continue
+        factor = IrrepCandidate.of(build_root_datum(type_id), rec.weight, rec.corrected_dim,
+                                   range(type_id.rank))
+        if factor.fs == 0:
+            non_self_dual += 1
+            events.append(("non-self-dual", (n,),
+                           f"exception record at ell={rec.ell}, weight {list(rec.weight)}", 1))
+        else:
+            kept.append(steinberg._tensor(type_id, (factor,), non_generic_ell=rec.ell))
+    return kept, events, non_self_dual
+
+
 def oracle_classify(n, min_char, mode, exceptions, factors_of):
     """Reference classification: one event per (type, factorization), aggregated
     by listing every (rank, count) hit of each note key."""
@@ -287,7 +329,7 @@ def oracle_classify(n, min_char, mode, exceptions, factors_of):
     orthogonal, symplectic, non_self_dual, raw = [], [], 0, {}
     for t in default_scan_types(n):
         products, events = _oracle_assemble(t, facts, factors_of(t), mode)
-        kept, dropped, nsd = steinberg._scan_one_type(t, products, n, mode, min_char, exceptions)
+        kept, dropped, nsd = _oracle_filter(t, products, n, min_char, exceptions)
         non_self_dual += nsd
         for tc in kept:
             (orthogonal if tc.fs == 1 else symplectic).append(tc)
