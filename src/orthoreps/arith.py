@@ -125,14 +125,9 @@ class BoundInputs:
 def compute_M(inputs: BoundInputs) -> int:
     """Smallest integer exceeding all the quantities the bound must dominate."""
     n, k, N = inputs.n, inputs.k, inputs.N
-    floor = max(n**4 * factorial(n + 2), N, k * factorial(n) + 1)
-    if n & (n - 1) == 0:  # n = 2^f: also dominate the primes of 2*prod(2^(2i)-1)
-        f = n.bit_length() - 1
-        prod = 2
-        for i in range(1, f + 1):
-            prod *= (1 << (2 * i)) - 1
-        floor = max(floor, max(factorize(prod)))
-    return floor + 1
+    # For n = 2^f, M must also exceed the primes of 2 prod_{i<=f}(2^(2i) - 1); each
+    # is below 2^(2f) = n^2 < n^4 (n+2)!, so that clause never raises M.
+    return max(n**4 * factorial(n + 2), N, k * factorial(n) + 1) + 1
 
 
 def multiplicative_order(t: int, p: int) -> int:
@@ -244,7 +239,7 @@ def find_prime_pairs(
         while search_limit is None or k * p <= search_limit:
             for r in residues:
                 t = k * p + r
-                if t <= M or t == p or (search_limit is not None and t > search_limit):
+                if t <= M or (search_limit is not None and t > search_limit):
                     continue
                 if t % 2 == 0 or not is_prime(t):
                     continue
@@ -276,15 +271,7 @@ def pair_json(pair: PrimePair) -> dict:
     return {
         "p": str(pair.p),
         "t": str(pair.t),
-        "checks": {
-            "p_is_prime": pair.checks.p_is_prime,
-            "t_is_prime": pair.checks.t_is_prime,
-            "p_1_mod_n": pair.checks.p_1_mod_n,
-            "p_greater_M": pair.checks.p_greater_M,
-            "t_greater_M": pair.checks.t_greater_M,
-            "order_of_t_is_n": pair.checks.order_of_t_is_n,
-            "t_half_power_is_minus_one": pair.checks.t_half_power_is_minus_one,
-        },
+        "checks": vars(pair.checks),
     }
 
 

@@ -18,21 +18,11 @@ from .root_data import LieType
 __all__ = ["run", "main"]
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="orthoreps", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def _fail(self, message: str) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="orthoreps", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: _Parser) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
 
@@ -80,19 +70,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _open_out(path: str):
+def _write(text: str, path: str) -> None:
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
-def _emit_text(text: str, path: str) -> None:
-    fp, close = _open_out(path)
-    try:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fp:
         fp.write(text)
-    finally:
-        if close:
-            fp.close()
+
+
+def _emit(args, payload, table) -> None:
+    """Write payload as indented JSON, or the text table() renders under --format table."""
+    text = json.dumps(payload, indent=2) + "\n" if args.format == "json" else table()
+    _write(text, args.output)
 
 
 def _table_candidates(cands) -> str:
@@ -150,18 +139,14 @@ def _cmd_enumerate(args) -> int:
         text = "".join(json.dumps(irreps.candidate_json(c)) + "\n" for c in cands)
     else:
         text = _table_candidates(cands)
-    _emit_text(text, args.output)
+    _write(text, args.output)
     return 0
 
 
 def _cmd_classify(args) -> int:
     mode = steinberg.MODE_ORBIT if args.mode == "orbit" else steinberg.MODE_ALL
     report = steinberg.classify_orthogonal(args.n, args.min_char, mode)
-    if args.format == "json":
-        text = json.dumps(steinberg.report_json(report), indent=2) + "\n"
-    else:
-        text = _table_report(report)
-    _emit_text(text, args.output)
+    _emit(args, steinberg.report_json(report), lambda: _table_report(report))
     return 0
 
 
@@ -170,13 +155,8 @@ def _cmd_theorem1(args) -> int:
         steinberg.theorem1_sweep() if args.all else [steinberg.verify_theorem1(args.pi)]
     )
     passed = all(ev.passed for ev in evidence)
-    if args.format == "json":
-        payload = {
-            "passed": passed,
-            "cases": [steinberg.evidence_json(ev) for ev in evidence],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
+
+    def table() -> str:
         lines = []
         for ev in evidence:
             orth = "; ".join(_tensor_label(tc) for tc in ev.orthogonal)
@@ -184,8 +164,10 @@ def _cmd_theorem1(args) -> int:
                 f"pi={ev.pi} n={ev.n}: {'PASS' if ev.passed else 'FAIL'}  orthogonal: {orth}"
             )
         lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
-    _emit_text(text, args.output)
+        return "\n".join(lines) + "\n"
+
+    payload = {"passed": passed, "cases": [steinberg.evidence_json(ev) for ev in evidence]}
+    _emit(args, payload, table)
     return 0 if passed else 2
 
 
@@ -202,25 +184,23 @@ def _cmd_primes(args) -> int:
         M = args.M
         mode = "override"
     result = arith.find_prime_pairs(args.n, M, count=args.count, search_limit=args.limit)
-    if args.format == "json":
-        text = json.dumps(arith.search_json(result, m_mode=mode), indent=2) + "\n"
-    else:
+
+    def table() -> str:
         rows = [("p", "t", "all_checks")]
         for pair in result.pairs:
             rows.append((str(pair.p), str(pair.t), str(all(vars(pair.checks).values()))))
-        text = _align(rows)
-        if result.exhausted:
-            text += "search limit exhausted: partial result\n"
-    _emit_text(text, args.output)
+        partial = "search limit exhausted: partial result\n" if result.exhausted else ""
+        return _align(rows) + partial
+
+    _emit(args, arith.search_json(result, m_mode=mode), table)
     return 0
 
 
 def _cmd_induce(args) -> int:
     rep = induced.build_induced_rep(args.p, args.t, args.n, args.lam)
     payload = induced.rep_json(rep)
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
+
+    def table() -> str:
         v = payload["verdicts"]
         lines = [
             f"p={args.p} t={args.t} n={args.n} lambda={payload['lambda']} zeta={payload['zeta']}",
@@ -231,18 +211,15 @@ def _cmd_induce(args) -> int:
             f"tau projective order: {v['tau_projective_order']}",
             f"phi projective order: {v['phi_projective_order']}",
         ]
-        text = "\n".join(lines) + "\n"
-    _emit_text(text, args.output)
+        return "\n".join(lines) + "\n"
+
+    _emit(args, payload, table)
     return 0
 
 
 def _cmd_bound(args) -> int:
     M = arith.compute_M(arith.BoundInputs(n=args.n, k=args.k, N=args.cond))
-    if args.format == "json":
-        text = json.dumps({"n": args.n, "k": args.k, "cond": args.cond, "M": str(M)}, indent=2) + "\n"
-    else:
-        text = f"M = {M}\n"
-    _emit_text(text, args.output)
+    _emit(args, {"n": args.n, "k": args.k, "cond": args.cond, "M": str(M)}, lambda: f"M = {M}\n")
     return 0
 
 
@@ -258,11 +235,10 @@ _HANDLERS = {
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; ours is 1
+        return 1 if exc.code == 2 else int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -25,7 +25,6 @@ vector of alpha_j in the fundamental-weight basis.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -53,8 +52,6 @@ _RANK_RULES = {
     "G": (2, 2),
 }
 
-_TYPE_RE = re.compile(r"([A-G])\s*(\d+)")
-
 
 @dataclass(frozen=True, order=True)
 class LieType:
@@ -73,13 +70,6 @@ class LieType:
         if self.rank < lo or (hi is not None and self.rank > hi):
             span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
             raise ValueError(f"family {self.family} needs rank {span}, got {self.rank}")
-
-    @classmethod
-    def parse(cls, text: str) -> "LieType":
-        m = _TYPE_RE.fullmatch(text.strip())
-        if m is None:
-            raise ValueError(f"cannot parse Lie type from {text!r} (expected e.g. 'D34')")
-        return cls(m.group(1), int(m.group(2)))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -208,27 +198,17 @@ def _string_closure(cartan: np.ndarray) -> np.ndarray:
     pair = C[::-1].copy()
     pvec = np.zeros((m, m), dtype=np.int16)
     chunks = [level]
-    width = 2 * m
     while True:
-        q = pvec - pair
-        rs, ks = np.nonzero(q > 0)
+        rs, ks = np.nonzero(pvec - pair > 0)
         if rs.size == 0:
             break
         cand = level[rs].copy()
         cand[np.arange(rs.size), ks] += 1
-        # Key each candidate by its big-endian bytes: the entries are
-        # non-negative, so the keys sort in the same order as the rows.
-        raw = cand.astype(">i2").tobytes()
-        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # first occurrence wins
-        order = sorted(first)
-        slot = {key: j for j, key in enumerate(order)}
-        first_idx = np.fromiter((first[key] for key in order), dtype=np.intp, count=len(order))
-        inv = np.fromiter((slot[key] for key in keys), dtype=np.intp, count=len(keys))
-        uniq = cand[first_idx]
-        new_pair = pair[rs[first_idx]] + C[ks[first_idx]]
+        # rows sorted lexicographically; every occurrence of a row has the same pairings
+        uniq, first, inv = np.unique(cand, axis=0, return_index=True, return_inverse=True)
+        new_pair = pair[rs[first]] + C[ks[first]]
         new_pvec = np.zeros((uniq.shape[0], m), dtype=np.int16)
-        new_pvec[inv, ks] = pvec[rs, ks] + 1  # each (root, direction) has a unique parent
+        new_pvec[inv.ravel(), ks] = pvec[rs, ks] + 1  # each (root, direction) has a unique parent
         chunks.append(uniq)
         level, pair, pvec = uniq, new_pair, new_pvec
     out = np.empty((sum(len(c) for c in chunks), m), dtype=np.int16, order="F")

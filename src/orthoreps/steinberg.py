@@ -472,17 +472,7 @@ def report_json(report: ClassificationReport) -> dict:
         "orthogonal": [tensor_json(tc) for tc in report.orthogonal],
         "symplectic": [tensor_json(tc) for tc in report.symplectic],
         "excluded_non_self_dual": report.excluded_non_self_dual,
-        "exclusions": [
-            {
-                "rule": note.rule,
-                "family": note.family,
-                "ranks": note.ranks,
-                "factorization": list(note.factorization),
-                "detail": note.detail,
-                "count": note.count,
-            }
-            for note in report.notes
-        ],
+        "exclusions": [vars(note) for note in report.notes],
     }
 
 

@@ -57,13 +57,18 @@ class TestComputeM:
         assert compute_M(BoundInputs(2, 1, 1)) == 385
 
     def test_n16_two_power_clause(self):
-        M = compute_M(BoundInputs(16, 1, 1))
-        assert M == 16**4 * factorial(18) + 1
-        prod = 2
-        for i in range(1, 5):
-            prod *= 2 ** (2 * i) - 1
-        assert set(factorize(prod)) == {2, 3, 5, 7, 17}
-        assert all(M > q for q in factorize(prod))
+        # for n = 2^f, M must exceed every prime of 2 prod_{i<=f}(2^(2i) - 1);
+        # those primes are below 2^(2f) = n^2, so n^4 (n+2)! already does
+        for f in range(1, 13):
+            n = 2**f
+            M = compute_M(BoundInputs(n, 1, 1))
+            assert M == n**4 * factorial(n + 2) + 1
+            primes = {2}
+            for i in range(1, f + 1):
+                primes |= set(factorize(2 ** (2 * i) - 1))
+            if n == 16:
+                assert primes == {2, 3, 5, 7, 17}
+            assert all(M > q for q in primes)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6).map(lambda h: 2 * h), st.integers(1, 4), st.integers(1, 10**9))

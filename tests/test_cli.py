@@ -223,6 +223,61 @@ def test_classification_json_bytes_pinned(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+CLI_PINS = [
+    ("enumerate --family B --rank 2 --bound 100 --format table", 0,
+     "0f85be905e6b2c744976d83b9e8d28beea093b03a32132d5c9e45de5669c45c1", EMPTY),
+    ("enumerate --family E --rank 6 --bound 100 --format table", 0,
+     "c4e5a993d46deef4e3fff2082c95bffc4b3b7e007d1121438b0eb498f39ac032", EMPTY),
+    ("enumerate --family B --rank 2 --bound 100", 0,
+     "2e804511977dd9cd411f6b72f7558a9a554256924561cbe91a4da6c95f5bba21", EMPTY),
+    ("classify --n 68 --format table", 0,
+     "0382fab5131264c0432d35930b14c6012e336108bcbd07935c8f16341671f636", EMPTY),
+    ("classify --n 72 --mode all --format table", 0,
+     "b178ecf2d7b6b4fd298c624e3029612575f47e810264cb974329cd2c412f78d2", EMPTY),
+    ("theorem1 --pi 17 --format table", 0,
+     "e7a49fbf69a0f4ceb47b22c10724a747244e2aea414bd89922b89023557c9168", EMPTY),
+    ("primes --n 4 --M 2 --count 3 --format table", 0,
+     "113ec7225e48a491df535637b1795007d07b3dfb29f79270dd07eb6d31782d07", EMPTY),
+    ("primes --n 4 --M 100 --count 5 --limit 150 --format table", 0,  # the partial-result line
+     "831eb64e0358b3936647f9445cbf44de3755c6e73020669b9ca7f570a81a593c", EMPTY),
+    ("induce --p 5 --t 3 --n 4 --format table", 0,
+     "419edba70b3a022674e297bcc5f66be19ef1a6126f1f850037c95d0df55d53d1", EMPTY),
+    ("bound --n 10 --k 1 --cond 1 --format table", 0,
+     "1e7860df05f7d5e457abb5ccc65dad433ad9da61e525a3f062d1687f6c1634be", EMPTY),
+    ("bound --n 10 --k 1 --cond 1", 0,
+     "1145bdc7225dc4eddd4b467d3013cdcae6d92a68d717abd1b519348929ae413f", EMPTY),
+    ("classify --n 4 --frobnicate", 1,
+     EMPTY, "81b6e4994904af588d52ca73faf64805b8021f707bad992e152f72c60fad3d25"),
+    ("transmogrify", 1,
+     EMPTY, "55ebf4d209732464b0215df0720dbd125097056fb2756744e18bf464cc9e23fd"),
+    ("classify", 1,
+     EMPTY, "36da55d8f62614343a0667ba02cc01f26bd3e866c1d428dcad950dcf892bd29b"),
+    ("theorem1 --pi 17 --all", 1,
+     EMPTY, "159ad26bb20d647c97c47fc535b475e831ef45c493a11cf72f6ff2f9da57c63e"),
+    ("classify --n x", 1,
+     EMPTY, "aa2945532a3b239abd960a50f268fdc5fe95290dd7991420606be6841d46c7f4"),
+    ("classify --n 7 --format table", 1,
+     EMPTY, "ec9b764c16e8aac3512691abd823d635439021fa992f6072da1249dfef846fb0"),
+    ("classify --help", 0,
+     "5d0da520a10fd294cc18bcbdb31eeab6b47aa9c83f915161da70bd6309a83fce", EMPTY),
+]
+
+
+@pytest.mark.parametrize("command,code,out_digest,err_digest", CLI_PINS,
+                         ids=[case[0] for case in CLI_PINS])
+def test_cli_bytes_pinned(capsys, monkeypatch, command, code, out_digest, err_digest):
+    # sha256 of stdout and stderr for the table output, the usage and
+    # validation errors and --help; argparse wraps usage to $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, err = invoke(capsys, *command.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest
+
+
 class TestBoundCommand:
     def test_value(self, capsys):
         code, out, _ = invoke(capsys, "bound", "--n", "10", "--k", "1", "--cond", "1")

@@ -80,12 +80,12 @@ def test_closure_matches_reflection_oracle(type_id):
     assert got == expected
 
 
-def unique_closure(cartan: np.ndarray) -> np.ndarray:
-    """Oracle: the string closure with np.unique(axis=0) as its row dedupe.
+def byte_key_closure(cartan: np.ndarray) -> np.ndarray:
+    """Oracle: the string closure with a dict of byte keys as its row dedupe.
 
-    np.unique sorts the candidate rows lexicographically and returns the
-    first occurrence of each, which fixes the (height, lex) row order and
-    the parent each new root's string depths are carried from.
+    Each candidate row is keyed by its big-endian bytes, which sort in the
+    same order as the rows because the entries are non-negative.  The first
+    occurrence of each key gives its pairings; every occurrence gives the same.
     """
     m = cartan.shape[0]
     C = cartan.astype(np.int16)
@@ -93,15 +93,24 @@ def unique_closure(cartan: np.ndarray) -> np.ndarray:
     pair = C[::-1].copy()
     pvec = np.zeros((m, m), dtype=np.int16)
     chunks = [level]
+    width = 2 * m
     while True:
         rs, ks = np.nonzero(pvec - pair > 0)
         if rs.size == 0:
             break
         cand = level[rs].copy()
         cand[np.arange(rs.size), ks] += 1
-        uniq, first, inv = np.unique(cand, axis=0, return_index=True, return_inverse=True)
-        inv = inv.ravel()
-        new_pair = pair[rs[first]] + C[ks[first]]
+        raw = cand.astype(">i2").tobytes()
+        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+        first = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        order = sorted(first)
+        slot = {key: j for j, key in enumerate(order)}
+        first_idx = np.array([first[key] for key in order], dtype=np.intp)
+        inv = np.array([slot[key] for key in keys], dtype=np.intp)
+        uniq = cand[first_idx]
+        new_pair = pair[rs[first_idx]] + C[ks[first_idx]]
         new_pvec = np.zeros((uniq.shape[0], m), dtype=np.int16)
         new_pvec[inv, ks] = pvec[rs, ks] + 1
         chunks.append(uniq)
@@ -116,10 +125,11 @@ def unique_closure(cartan: np.ndarray) -> np.ndarray:
     ids=str,
 )
 def test_closure_matches_unique_oracle(type_id):
+    # the np.unique dedupe of _string_closure against the byte-key oracle
     cartan = _cartan_matrix(type_id.family, type_id.rank)
     got = _string_closure(cartan)
     assert got.dtype == np.int16
-    assert np.array_equal(got, unique_closure(cartan))
+    assert np.array_equal(got, byte_key_closure(cartan))
 
 
 def test_coroots_differ_from_roots_for_asymmetric_types():
@@ -321,13 +331,6 @@ def test_epsilon_and_triality():
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(ValueError):
         LieType(family, rank)
-
-
-def test_parse_roundtrip():
-    assert LieType.parse("D34") == LieType("D", 34)
-    assert str(LieType.parse(" E6 ")) == "E6"
-    with pytest.raises(ValueError):
-        LieType.parse("X2")
 
 
 def test_datum_arrays_immutable():
