@@ -275,7 +275,7 @@ def pair_json(pair: PrimePair) -> dict:
     }
 
 
-def search_json(result: PairSearchResult, m_mode: str = "explicit") -> dict:
+def search_json(result: PairSearchResult, m_mode: str) -> dict:
     return {
         "n": result.n,
         "M": str(result.M),

@@ -16,15 +16,16 @@ ingested from a CSV exceptions file rather than computed.
 
 from __future__ import annotations
 
-import io
+import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arith import is_prime
 from .root_data import (
     LieType,
     RootDatum,
@@ -87,12 +88,29 @@ class IrrepCandidate:
 @dataclass(frozen=True)
 class ExceptionRecord:
     """An ingested non-generic dimension: at characteristic ell the module
-    with this highest weight has corrected_dim instead of the generic value."""
+    with this highest weight has corrected_dim instead of the generic value.
+
+    L(weight) is the simple quotient of the Weyl module V(weight) (Jantzen,
+    RAGS II.2), so a record must lower the generic dimension; one that
+    equals it corrects nothing.  ell must be prime.
+    """
 
     type_id: LieType
     weight: tuple[int, ...]
     ell: int
     corrected_dim: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weight", as_weight(self.weight, self.type_id.rank))
+        if not is_prime(self.ell):
+            raise ValueError(f"ell={self.ell} is not prime")
+        if self.corrected_dim < 1:
+            raise ValueError("corrected dimension must be positive")
+        generic = weyl_dimension(build_root_datum(self.type_id), self.weight)
+        if self.corrected_dim >= generic:
+            how = "exceeds" if self.corrected_dim > generic else "equals"
+            raise ValueError(f"corrected dimension {self.corrected_dim} {how} the generic "
+                             f"dimension {generic} of {self.type_id} weight {list(self.weight)}")
 
 
 def _active_columns(datum: RootDatum, bound: int) -> tuple[int, ...]:
@@ -180,7 +198,7 @@ def enumerate_restricted(
     datum = build_root_datum(type_id)
     exc_by_weight: dict[tuple[int, ...], list[int]] = {}
     for rec in exceptions:
-        if rec.type_id == type_id and rec.corrected_dim < _generic_dim(rec):
+        if rec.type_id == type_id:
             exc_by_weight.setdefault(rec.weight, []).append(rec.ell)
 
     cols = _active_columns(datum, dim_bound)
@@ -211,7 +229,6 @@ def default_scan_types(n: int) -> list[LieType]:
 def candidates_of_dimension(
     types: Iterable[LieType],
     n: int,
-    self_dual_only: bool = False,
     exceptions: Sequence[ExceptionRecord] = (),
 ) -> list[IrrepCandidate]:
     """Nontrivial restricted modules of exactly dimension n among the given types."""
@@ -220,105 +237,61 @@ def candidates_of_dimension(
     out: list[IrrepCandidate] = []
     for t in sorted(set(types)):
         for cand in enumerate_restricted(t, n, exceptions):
-            if cand.dim != n or not any(cand.weight):
-                continue
-            if self_dual_only and not cand.self_dual:
-                continue
-            out.append(cand)
+            if cand.dim == n and any(cand.weight):
+                out.append(cand)
     out.sort(key=lambda c: (c.type_id, c.weight))
     return out
-
-
-def _generic_dim(rec: ExceptionRecord) -> int:
-    return weyl_dimension(build_root_datum(rec.type_id), rec.weight)
-
-
-def _split_csv_row(line: str) -> list[str]:
-    """Split on top-level commas; bracketed weight vectors may be unquoted."""
-    parts, depth, cur = [], 0, []
-    for ch in line:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur).strip())
-    return [p.strip().strip('"').strip() for p in parts]
 
 
 _EXCEPTIONS_HEADER = ["family", "rank", "weight", "ell", "dim"]
 
 
-def load_exceptions(source: str | Path | IO[str] | Iterable[str]) -> tuple[ExceptionRecord, ...]:
-    """Parse and validate a CSV stream of non-generic dimension records.
+def _exception_record(row: list[str]) -> ExceptionRecord:
+    """The record of one CSV row, in which an unquoted weight is split at its commas."""
+    fields: list[str] = []
+    for f in row:
+        if fields and fields[-1].count("[") > fields[-1].count("]"):
+            fields[-1] += "," + f.strip()
+        else:
+            fields.append(f.strip())
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 fields, got {len(fields)}")
+    fam, rank, weight, ell, dim = fields
+    type_id = LieType(fam, int(rank))
+    if not (weight.startswith("[") and weight.endswith("]")):
+        raise ValueError(f"weight must be a bracketed list, got {weight!r}")
+    coeffs = tuple(int(v) for v in weight[1:-1].split(",") if v.strip() != "")
+    return ExceptionRecord(type_id, coeffs, int(ell), int(dim))
+
+
+def load_exceptions(source: str | Path | Iterable[str]) -> tuple[ExceptionRecord, ...]:
+    """Parse a CSV file, text stream or iterable of lines of non-generic dimension records.
 
     Format: header ``family,rank,weight,ell,dim`` with the weight as a
-    bracketed coefficient list, e.g. ``B,2,"[2,2]",7,71``.  Rows must have a
-    prime ell and a corrected dimension no larger than the generic one;
-    duplicate (type, weight, ell) rows are rejected.  Errors name the
-    offending line number.
+    bracketed coefficient list, quoted or not, e.g. ``B,2,"[2,2]",7,71``.
+    ExceptionRecord checks each record; duplicate (type, weight, ell) rows
+    are rejected.  Errors name the offending line number.
     """
-    from .arith import is_prime
-
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text().splitlines()
-    elif isinstance(source, io.TextIOBase):
-        lines = source.read().splitlines()
-    else:
-        lines = [str(s).rstrip("\n") for s in source]
-
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
-        return ()
-    first_no, header = rows[0]
-    if _split_csv_row(header) != _EXCEPTIONS_HEADER:
-        raise ValueError(
-            f"line {first_no}: bad header {header!r}; expected "
-            f"{','.join(_EXCEPTIONS_HEADER)}"
-        )
-
+        source = Path(source).read_text().splitlines()
+    reader = csv.reader(source, skipinitialspace=True)
+    rows = ((reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip())
+    no, header = next(rows, (0, _EXCEPTIONS_HEADER))  # no rows: no records
+    if [f.strip() for f in header] != _EXCEPTIONS_HEADER:
+        raise ValueError(f"line {no}: bad header {','.join(header)!r}; expected "
+                         f"{','.join(_EXCEPTIONS_HEADER)}")
     records: list[ExceptionRecord] = []
     seen: dict[tuple, int] = {}
-    for no, line in rows[1:]:
-        fields = _split_csv_row(line)
-        if len(fields) != 5:
-            raise ValueError(f"line {no}: expected 5 fields, got {len(fields)}")
-        fam, rank_s, weight_s, ell_s, dim_s = fields
+    for no, row in rows:
         try:
-            type_id = LieType(fam, int(rank_s))
+            rec = _exception_record(row)
         except ValueError as exc:
             raise ValueError(f"line {no}: {exc}") from None
-        body = weight_s.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"line {no}: weight must be a bracketed list, got {weight_s!r}")
-        try:
-            weight = as_weight(
-                [int(v) for v in body[1:-1].split(",") if v.strip() != ""],
-                type_id.rank,
-            )
-            ell = int(ell_s)
-            corrected = int(dim_s)
-        except ValueError as exc:
-            raise ValueError(f"line {no}: {exc}") from None
-        if not is_prime(ell):
-            raise ValueError(f"line {no}: ell={ell} is not prime")
-        if corrected < 1:
-            raise ValueError(f"line {no}: corrected dimension must be positive")
-        generic = weyl_dimension(build_root_datum(type_id), weight)
-        if corrected > generic:
-            raise ValueError(
-                f"line {no}: corrected dimension {corrected} exceeds the generic "
-                f"dimension {generic} of {type_id} weight {list(weight)}"
-            )
-        key = (type_id, weight, ell)
+        key = (rec.type_id, rec.weight, rec.ell)
         if key in seen:
             raise ValueError(f"line {no}: duplicate record (first seen on line {seen[key]})")
         seen[key] = no
-        records.append(ExceptionRecord(type_id, weight, ell, corrected))
+        records.append(rec)
     return tuple(records)
 
 

@@ -17,6 +17,7 @@ from orthoreps.irreps import (
     load_exceptions,
 )
 from orthoreps.root_data import LieType, build_root_datum
+from orthoreps.steinberg import classify_orthogonal
 from orthoreps.weights import weyl_dimension
 
 A1 = LieType("A", 1)
@@ -266,7 +267,7 @@ class TestCandidatesOfDimension:
         ]
 
     def test_dim68_self_dual(self):
-        got = candidates_of_dimension(default_scan_types(68), 68, self_dual_only=True)
+        got = [c for c in candidates_of_dimension(default_scan_types(68), 68) if c.self_dual]
         labels = [(str(c.type_id), c.fs) for c in got]
         assert labels == [("A1", -1), ("C34", -1), ("D34", 1)]
         assert got[0].weight == (67,)
@@ -283,6 +284,62 @@ class TestCandidatesOfDimension:
 
 
 EXC_HEADER = "family,rank,weight,ell,dim"
+B2_22 = ExceptionRecord(LieType("B", 2), (2, 2), 7, 71)
+B2_32 = ExceptionRecord(LieType("B", 2), (3, 2), 11, 61)
+CRLF_TEXT = f"{EXC_HEADER}\r\nB,2,[2,2],7,71\r\n"
+
+
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("make_source,expected", [
+    (lambda tmp: [EXC_HEADER, 'B,2,"[2,2]",7,71'], (B2_22,)),
+    (lambda tmp: [EXC_HEADER, "B,2,[3,2],11,61"], (B2_32,)),
+    (lambda tmp: [EXC_HEADER, "B, 2, [2, 2], 7, 71", "B, 2, [3,2] ,11 , 61 "], (B2_22, B2_32)),
+    (lambda tmp: ['"family","rank","weight","ell","dim"', '"B","2","[2,2]","7","71"'], (B2_22,)),
+    (lambda tmp: ["", "  ", EXC_HEADER, "", "B,2,[2,2],7,71", "   ", "B,2,[3,2],11,61", ""],
+     (B2_22, B2_32)),
+    (lambda tmp: CRLF_TEXT.splitlines(keepends=True), (B2_22,)),
+    (lambda tmp: io.StringIO(CRLF_TEXT), (B2_22,)),
+    (lambda tmp: io.StringIO(f"{EXC_HEADER}\nB,2,[3,2],11,61\n"), (B2_32,)),
+    (lambda tmp: _write(tmp / "exc.csv", CRLF_TEXT.encode()), (B2_22,)),
+    (lambda tmp: str(_write(tmp / "exc.csv", b"family,rank,weight,ell,dim\nB,2,[3,2],11,61")),
+     (B2_32,)),
+], ids=["quoted", "unquoted", "spaced", "all-quoted", "blank-lines", "crlf-lines",
+        "crlf-stream", "stream", "crlf-path", "path-str"])
+def test_loader_accepted_forms(tmp_path, make_source, expected):
+    assert load_exceptions(make_source(tmp_path)) == expected
+
+
+@pytest.mark.parametrize("row,message", [
+    ("B,2,[2,2],7", "line 3: expected 5 fields, got 4"),
+    (",", "line 3: expected 5 fields, got 2"),
+    ("B,2,2,7,71", "line 3: weight must be a bracketed list, got '2'"),
+    ("X,2,[2,2],7,71", "line 3: unknown family 'X'; expected one of A..G"),
+    ("B,1,[2],7,2", "line 3: family B needs rank >= 2, got 1"),
+    ("B,2,[2,2],seven,71", "line 3: invalid literal for int() with base 10: 'seven'"),
+    ("B,2,[-1,2],7,1",
+     "line 3: weight (-1, 2) has a negative coefficient; dominance requires >= 0"),
+    ("B,2,[2,2,2],7,71", "line 3: weight length 3 does not match rank 2"),
+    ("B,2,[2,2],9,71", "line 3: ell=9 is not prime"),
+    ("B,2,[2,2],7,0", "line 3: corrected dimension must be positive"),
+    ("B,2,[1,0],7,500",
+     "line 3: corrected dimension 500 exceeds the generic dimension 5 of B2 weight [1, 0]"),
+    ("B,2,[2,2],7,70", "line 3: duplicate record (first seen on line 2)"),
+    (None, "line 2: bad header 'family,rank,ell,dim'; expected family,rank,weight,ell,dim"),
+], ids=["few-fields", "empty-fields", "unbracketed", "family", "rank", "non-integer", "negative",
+        "weight-length", "ell-not-prime", "dim-zero", "dim-above-generic", "duplicate",
+        "header"])
+def test_loader_rejections_name_line_and_reason(row, message):
+    # The row is line 3, after the header and a valid row; the bad header is
+    # line 2, after a blank line.
+    lines = ["", "family,rank,ell,dim", "B,2,7,71"] if row is None else [
+        EXC_HEADER, "B,2,[2,2],7,71", row]
+    with pytest.raises(ValueError) as err:
+        load_exceptions(lines)
+    assert str(err.value) == message
 
 
 class TestExceptions:
@@ -332,6 +389,19 @@ class TestExceptions:
         by_weight = {c.weight: c for c in cands}
         assert by_weight[(2, 2)].min_char == 24
         assert by_weight[(1, 1)].min_char == 20
+
+    def test_record_must_lower_the_generic_dimension(self):
+        # L(9) of A1 has the generic dimension 10 at ell = 23, so a record
+        # giving 10 corrects nothing and would list the module twice.
+        with pytest.raises(ValueError, match="line 2: corrected dimension 10 equals the generic"):
+            load_exceptions([EXC_HEADER, "A,1,[9],23,10"])
+        with pytest.raises(ValueError, match="equals the generic"):
+            ExceptionRecord(A1, (9,), 23, 10)
+        # L(12) = L(1) (x) L(1)^[1] at ell = 11 has dimension 4: listed once, flagged.
+        report = classify_orthogonal(4, exceptions=[ExceptionRecord(A1, (12,), 11, 4)])
+        hits = [tc.non_generic_ell for tc in report.orthogonal + report.symplectic
+                if (tc.type_id, tc.factors[0].weight) == (A1, (12,))]
+        assert hits == [11]
 
     def test_small_ell_exception_keeps_floor(self):
         recs = load_exceptions([EXC_HEADER, "B,2,[2,2],7,71"])

@@ -1,4 +1,5 @@
-"""Module boundaries: no package module reaches into another one's private names."""
+"""Module boundaries: no package module reaches into another one's private names,
+and every import in the package is at module level."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,14 @@ def private_reaches(source: str, own: str) -> list[str]:
     return hits
 
 
+def nested_imports(source: str) -> list[str]:
+    """Import statements in one module's source that are not at its top level."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
 def test_detector_catches_both_forms():
     src = "from . import root_data\nfrom .irreps import _scan_data\nroot_data._window(1)\n"
     assert private_reaches(src, "steinberg") == [
@@ -57,3 +66,16 @@ def test_detector_catches_both_forms():
 def test_no_private_names_across_modules(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert private_reaches(source, module) == []
+
+
+def test_nested_import_detector_catches_both_forms():
+    src = ("import csv\nfrom .arith import is_prime\n"
+           "def f():\n    from .arith import is_prime\n"
+           "class C:\n    if True:\n        import json\n")
+    assert nested_imports(src) == ["line 4: from .arith import is_prime", "line 7: import json"]
+    assert nested_imports("import csv\nfrom .weights import as_weight\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_imports_at_module_level(module):
+    assert nested_imports((PACKAGE / f"{module}.py").read_text()) == []

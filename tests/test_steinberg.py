@@ -356,9 +356,10 @@ def oracle_classify(n, min_char, mode, exceptions, factors_of):
     st.booleans(),
 )
 def test_notes_per_divisor_signature_match_oracle(n, mode, min_char, with_exceptions):
-    # One self-dual record (B2, kept or below the floor) and one that is not (A2).
-    exceptions = (ExceptionRecord(LieType("B", 2), (3, 1), 23, n),
-                  ExceptionRecord(LieType("A", 2), (2, 0), 3, n)) if with_exceptions else ()
+    # One self-dual record (B2, kept or below the floor) and one that is not
+    # (A2); both lower their generic dimensions, 640 and 300, at every n drawn.
+    exceptions = (ExceptionRecord(LieType("B", 2), (5, 3), 23, n),
+                  ExceptionRecord(LieType("A", 2), (23, 0), 3, n)) if with_exceptions else ()
     report = classify_orthogonal(n, min_char, mode, exceptions)
     oracle = oracle_classify(n, min_char, mode, exceptions,
                              lambda t: steinberg._factors_by_dim(t, n, exceptions))
