@@ -179,7 +179,6 @@ class PairSearchResult:
     M: int
     pairs: tuple[PrimePair, ...]
     exhausted: bool
-    primality_policy: str = PRIMALITY_POLICY
 
 
 def _primes_1_mod_n(n: int, M: int, limit: int | None) -> Iterator[int]:
@@ -219,11 +218,11 @@ def find_prime_pairs(
     """Up to `count` odd prime pairs (p, t) with p = 1 (mod n), p, t > M,
     and t of multiplicative order exactly n mod p.
 
-    Order-n residues force t^(n/2) = -1 (mod p); both facts are still
-    checked independently on every returned pair.  The scan is by
-    increasing p, then increasing t, so results are deterministic; when
-    search_limit caps the scanned values the result may be partial and is
-    flagged exhausted.
+    Order-n residues force t^(n/2) = -1 (mod p); every field of PairChecks
+    is still computed independently on each pair, and any False one raises.
+    The scan is by increasing p, then increasing t, so results are
+    deterministic; when search_limit caps the scanned values the result may
+    be partial and is flagged exhausted.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
@@ -243,23 +242,18 @@ def find_prime_pairs(
                     continue
                 if t % 2 == 0 or not is_prime(t):
                     continue
-                order_ok = has_order(t, n, p)
-                if not order_ok:
-                    raise AssertionError(f"residue stream produced t={t} of wrong order mod {p}")
-                half = pow(t, n // 2, p)
-                if half != p - 1:
-                    raise AssertionError(
-                        f"order-{n} element t={t} has t^(n/2) = {half} != -1 mod {p}"
-                    )
                 checks = PairChecks(
                     p_is_prime=is_prime(p),
                     t_is_prime=is_prime(t),
                     p_1_mod_n=p % n == 1,
                     p_greater_M=p > M,
                     t_greater_M=t > M,
-                    order_of_t_is_n=order_ok,
-                    t_half_power_is_minus_one=half == p - 1,
+                    order_of_t_is_n=has_order(t, n, p),
+                    t_half_power_is_minus_one=pow(t, n // 2, p) == p - 1,
                 )
+                failed = [name for name, ok in vars(checks).items() if not ok]
+                if failed:
+                    raise AssertionError(f"pair p={p}, t={t} fails {', '.join(failed)}")
                 pairs.append(PrimePair(p=p, t=t, n=n, M=M, checks=checks))
                 if len(pairs) == count:
                     return PairSearchResult(n, M, tuple(pairs), exhausted=False)
@@ -282,5 +276,5 @@ def search_json(result: PairSearchResult, m_mode: str) -> dict:
         "M_mode": m_mode,
         "pairs": [pair_json(p) for p in result.pairs],
         "exhausted": result.exhausted,
-        "primality_policy": result.primality_policy,
+        "primality_policy": PRIMALITY_POLICY,
     }

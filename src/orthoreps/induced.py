@@ -15,7 +15,7 @@ ints, so lambda has no size limit and no verdict can overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import factorize, has_order, is_prime
 
@@ -31,39 +31,39 @@ __all__ = [
 ]
 
 
-def _check_tame_data(p: int, t: int, n: int, lam: int | None) -> None:
-    """Raise ValueError unless (p, t, n) and, when given, lambda fit the induction."""
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if not is_prime(t):
-        raise ValueError(f"t must be prime, got {t}")
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
-    if (p - 1) % n or not has_order(t, n, p):  # orders divide p - 1; never factor such an n
-        raise ValueError(
-            f"t={t} does not have order exactly n={n} mod p={p}; "
-            "the induced module would not be irreducible"
-        )
-    if lam is not None and (not is_prime(lam) or lam % p != 1):
-        raise ValueError(f"lambda={lam} must be a prime = 1 (mod p={p})")
-
-
 @dataclass(frozen=True)
 class TameParameters:
     """Arithmetic data of the induction: character order p, residue
-    characteristic t, degree n, coefficient field size lambda, and a fixed
-    element zeta of exact multiplicative order p in F_lambda."""
+    characteristic t, degree n, coefficient field size lambda (when omitted,
+    the smallest odd prime = 1 mod p), and zeta, the smallest element of
+    exact multiplicative order p in F_lambda.  p, t, n and a given lambda are
+    checked before either search, and a ValueError names the first failure."""
 
     p: int
     t: int
     n: int
-    lam: int
-    zeta: int
+    lam: int | None = None  # set to the default lambda when omitted
+    zeta: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_tame_data(self.p, self.t, self.n, self.lam)
-        if pow(self.zeta, self.p, self.lam) != 1 or self.zeta % self.lam == 1:
-            raise ValueError(f"zeta={self.zeta} does not have exact order p in F_{self.lam}")
+        p, t, n, lam = self.p, self.t, self.n, self.lam
+        if not is_prime(p) or p < 3:
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if not is_prime(t):
+            raise ValueError(f"t must be prime, got {t}")
+        if n < 2 or n % 2:
+            raise ValueError(f"n must be even and >= 2, got {n}")
+        if (p - 1) % n or not has_order(t, n, p):  # orders divide p - 1; never factor such an n
+            raise ValueError(
+                f"t={t} does not have order exactly n={n} mod p={p}; "
+                "the induced module would not be irreducible"
+            )
+        if lam is None:
+            lam = _default_lambda(p)
+            object.__setattr__(self, "lam", lam)
+        elif not is_prime(lam) or lam % p != 1:
+            raise ValueError(f"lambda={lam} must be a prime = 1 (mod p={p})")
+        object.__setattr__(self, "zeta", _smallest_zeta(p, lam))
 
 
 # (sigma, coeffs): the matrix sending e_j to coeffs[j] e_sigma[j] over F_lambda.
@@ -73,8 +73,10 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 @dataclass(frozen=True, eq=False)
 class MonomialRep:
     """The induced representation: diagonal tau, cyclic phi, and the Gram form,
-    each a Monomial of Python ints.  Every verdict checks the generators it
-    reads, so a hand-built rep that is not monomial raises ValueError."""
+    each a Monomial of Python ints.  Each generator is checked when the rep
+    is built, and its coefficients are stored reduced mod lambda: a ValueError
+    names a generator whose sigma is not a permutation of range(n) or that
+    lacks n coefficients nonzero mod lambda."""
 
     params: TameParameters
     n: int
@@ -82,6 +84,18 @@ class MonomialRep:
     tau: Monomial
     phi: Monomial
     gram: Monomial
+
+    def __post_init__(self) -> None:
+        lam, n = self.params.lam, self.n
+        for name in ("tau", "phi", "gram"):
+            sigma, coeffs = getattr(self, name)
+            coeffs = tuple(c % lam for c in coeffs)
+            if sorted(sigma) != list(range(n)) or len(coeffs) != n or 0 in coeffs:
+                raise ValueError(
+                    f"{name} is not monomial: it needs a permutation of range({n}) "
+                    f"and {n} coefficients nonzero mod {lam}"
+                )
+            object.__setattr__(self, name, (tuple(sigma), coeffs))
 
 
 def _default_lambda(p: int) -> int:
@@ -117,16 +131,13 @@ def _smallest_zeta(p: int, lam: int) -> int:
 def build_induced_rep(p: int, t: int, n: int, lam: int | None = None) -> MonomialRep:
     """Construct the monomial model for the given (p, t, n).
 
-    The inputs are validated before any search.  When lam is omitted the
-    smallest odd prime = 1 (mod p) is used; zeta is the smallest element of
-    exact order p.  The order of t, distinct character exponents, the tame
-    relation and Gram symmetry are verified at construction; the Gram matrix
-    is a permutation matrix by construction, so it is invertible.
+    TameParameters checks the inputs and derives lambda and zeta.  Distinct
+    character exponents, the tame relation and Gram symmetry are verified at
+    construction; the Gram matrix is a permutation matrix by construction, so
+    it is invertible.
     """
-    _check_tame_data(p, t, n, lam)
-    if lam is None:
-        lam = _default_lambda(p)
-    params = TameParameters(p=p, t=t, n=n, lam=lam, zeta=_smallest_zeta(p, lam))
+    params = TameParameters(p, t, n, lam)
+    lam = params.lam
 
     exponents = tuple(pow(t, i, p) for i in range(n))
     ones = (1,) * n
@@ -142,23 +153,6 @@ def build_induced_rep(p: int, t: int, n: int, lam: int | None = None) -> Monomia
     if _transpose(gram) != gram:
         raise AssertionError("Gram form is not symmetric")
     return rep
-
-
-def _monomial(rep: MonomialRep, name: str) -> Monomial:
-    """The generator `name` with its coefficients reduced mod lambda.
-
-    Raises ValueError unless sigma is a permutation of range(n) and there
-    are n coefficients, each nonzero mod lambda.
-    """
-    sigma, coeffs = getattr(rep, name)
-    lam, n = rep.params.lam, rep.n
-    coeffs = tuple(c % lam for c in coeffs)
-    if sorted(sigma) != list(range(n)) or len(coeffs) != n or 0 in coeffs:
-        raise ValueError(
-            f"{name} is not monomial: it needs a permutation of range({n}) "
-            f"and {n} coefficients nonzero mod {lam}"
-        )
-    return tuple(sigma), coeffs
 
 
 def _compose(g: Monomial, h: Monomial, lam: int) -> Monomial:
@@ -190,18 +184,15 @@ def _power(g: Monomial, k: int, lam: int) -> Monomial:
 
 def tame_relation_holds(rep: MonomialRep) -> bool:
     """True iff phi tau phi^-1 = tau^t over F_lambda, checked as phi tau = tau^t phi."""
-    lam = rep.params.lam
-    tau, phi = _monomial(rep, "tau"), _monomial(rep, "phi")
+    lam, tau, phi = rep.params.lam, rep.tau, rep.phi
     return _compose(phi, tau, lam) == _compose(_power(tau, rep.params.t, lam), phi, lam)
 
 
 def verify_orthogonality(rep: MonomialRep) -> bool:
     """True iff both generators preserve the Gram form over F_lambda."""
-    lam = rep.params.lam
-    gram = _monomial(rep, "gram")
+    lam, gram = rep.params.lam, rep.gram
     return all(
-        _compose(_compose(_transpose(g), gram, lam), g, lam) == gram
-        for g in (_monomial(rep, "tau"), _monomial(rep, "phi"))
+        _compose(_compose(_transpose(g), gram, lam), g, lam) == gram for g in (rep.tau, rep.phi)
     )
 
 
@@ -220,7 +211,7 @@ def commutant_dimension(rep: MonomialRep, use: tuple[str, ...] = ("tau", "phi"))
     lam, n = rep.params.lam, rep.n
     maps = []
     for name in use:
-        sigma, coeffs = _monomial(rep, name)
+        sigma, coeffs = getattr(rep, name)
         maps.append((sigma, coeffs, [pow(c, -1, lam) for c in coeffs]))
     potential = [0] * (n * n)  # 0 marks an unvisited entry; potentials are units
     free = 0
@@ -255,7 +246,7 @@ def projective_order(rep: MonomialRep, which: str) -> int:
     p and those of the cofactor (lambda - 1)/p^a.  p - 1 is never factored.
     """
     lam, p = rep.params.lam, rep.params.p
-    sigma, coeffs = _monomial(rep, which)
+    sigma, coeffs = getattr(rep, which)
     seen = [False] * rep.n
     cycles = []  # (length, coefficient product) of each cycle of sigma
     for start in range(rep.n):
@@ -283,7 +274,7 @@ def projective_order(rep: MonomialRep, which: str) -> int:
 
 def _rows(rep: MonomialRep, name: str) -> list[list[int]]:
     """The generator `name` as a row-major n x n matrix."""
-    sigma, coeffs = _monomial(rep, name)
+    sigma, coeffs = getattr(rep, name)
     return [[c if k == row else 0 for k, c in zip(sigma, coeffs)] for row in range(rep.n)]
 
 

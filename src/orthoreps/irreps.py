@@ -226,17 +226,13 @@ def default_scan_types(n: int) -> list[LieType]:
     return sorted(types)
 
 
-def candidates_of_dimension(
-    types: Iterable[LieType],
-    n: int,
-    exceptions: Sequence[ExceptionRecord] = (),
-) -> list[IrrepCandidate]:
+def candidates_of_dimension(types: Iterable[LieType], n: int) -> list[IrrepCandidate]:
     """Nontrivial restricted modules of exactly dimension n among the given types."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     out: list[IrrepCandidate] = []
     for t in sorted(set(types)):
-        for cand in enumerate_restricted(t, n, exceptions):
+        for cand in enumerate_restricted(t, n):
             if cand.dim == n and any(cand.weight):
                 out.append(cand)
     out.sort(key=lambda c: (c.type_id, c.weight))

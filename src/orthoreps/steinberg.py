@@ -208,21 +208,15 @@ def _factors_by_dim(
     return by_dim
 
 
-def steinberg_products(
-    type_id: LieType,
-    n: int,
-    mode: str = MODE_ORBIT,
-    exceptions: Sequence[ExceptionRecord] = (),
-) -> list[TensorCandidate]:
+def steinberg_products(type_id: LieType, n: int, mode: str = MODE_ORBIT) -> list[TensorCandidate]:
     """The generic tensor products of dimension n within one type.
 
-    exceptions only raise the min_char of the factors they match; only
-    classify_orthogonal adds the products of exception records.
+    Only classify_orthogonal reads exception records.
     """
     _check_mode(mode)
     if n < 2:
         raise ValueError(f"target dimension must be >= 2, got {n}")
-    by_dim = _factors_by_dim(type_id, n, exceptions)
+    by_dim = _factors_by_dim(type_id, n, ())
     complete, _ = _split_missing(factorizations(n), by_dim)
     products, _ = _assemble(type_id, complete, by_dim, mode)
     products.sort(key=_product_sort_key)

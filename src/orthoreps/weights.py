@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .root_data import LieType, RootDatum, coroot_columns, diagram_automorphism
+from .root_data import LieType, RootDatum, build_root_datum, coroot_columns, diagram_automorphism
 
 __all__ = [
     "weyl_dimension",
@@ -89,19 +89,16 @@ def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
     return dim_from_pairings(heights, sub @ np.asarray([w[i] for i in support], dtype=np.int64))
 
 
-def _dual(perm: Sequence[int], weight: Weight) -> Weight:
-    return tuple(weight[p] for p in perm)
-
-
 def minus_w0(type_id: LieType, weight: Sequence[int]) -> Weight:
     """Highest weight of the dual module: the diagram symmetry applied to lambda."""
     w = as_weight(weight, type_id.rank)
-    return _dual(diagram_automorphism(type_id), w)
+    return tuple(w[p] for p in diagram_automorphism(type_id))
 
 
 def is_self_dual(type_id: LieType, weight: Sequence[int]) -> bool:
+    """True iff -w0 fixes lambda: the indicator's rule, read on every column."""
     w = as_weight(weight, type_id.rank)
-    return _dual(diagram_automorphism(type_id), w) == w
+    return indicator(build_root_datum(type_id), w, range(type_id.rank)) != 0
 
 
 def indicator(datum: RootDatum, weight: Weight, cols: Sequence[int]) -> int:

@@ -124,11 +124,14 @@ class TestExactOrder:
         monkeypatch.setattr(arith, "factorize", small_only)
         assert has_order(t, 10, p)
         lam = next(k * p + 1 for k in range(2, 10**4, 2) if is_prime(k * p + 1))
-        zeta = next(z for a in range(2, 100) if (z := pow(a, (lam - 1) // p, lam)) != 1)
-        assert TameParameters(p, t, 10, lam, zeta).t == t
+        params = TameParameters(p, t, 10, lam)
+        assert params.t == t
+        zeta = params.zeta  # lambda < p^2: the least of order p, found by a scan of about lam/p
+        assert pow(zeta, p, lam) == 1 != zeta
+        assert all(pow(z, p, lam) != 1 for z in range(2, zeta))
         assert pow(3, 10, p) != 1  # so 3 does not have order 10 mod p
         with pytest.raises(ValueError, match="order"):
-            TameParameters(p, 3, 10, lam, zeta)
+            TameParameters(p, 3, 10, lam)
 
 
 class TestPairSearch:
@@ -177,6 +180,11 @@ class TestPairSearch:
             for pair in result.pairs:
                 assert multiplicative_order(pair.t, pair.p) == n
                 assert pow(pair.t, n // 2, pair.p) == pair.p - 1
+
+    def test_any_false_check_raises_and_is_named(self, monkeypatch):
+        monkeypatch.setattr(arith, "has_order", lambda t, n, p: False)
+        with pytest.raises(AssertionError, match=r"fails order_of_t_is_n$"):
+            find_prime_pairs(4, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

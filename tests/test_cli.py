@@ -3,11 +3,13 @@ import json
 import re
 import shlex
 import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from orthoreps.cli import run
+from orthoreps.induced import TameParameters
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,6 +18,41 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class Stalled(Exception):
+    pass
+
+
+@contextmanager
+def one_second(what):
+    """Raise Stalled if the block is still running after 1 s."""
+    def stall(signum, frame):
+        raise Stalled(f"{what} still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stall)
+    signal.alarm(1)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# induce arguments that validation refuses, with the message each gets
+INVALID_INDUCE = [
+    (("--p", "1000000007", "--t", "4", "--n", "4"), "t must be prime, got 4"),
+    (("--p", "1000000007", "--t", "3", "--n", "5"), "n must be even and >= 2, got 5"),
+    (("--p", "1000000000000000000", "--t", "3", "--n", "4"),
+     "p must be an odd prime, got 1000000000000000000"),
+    (("--p", "8589934609", "--t", "58057635973", "--n", "4", "--lambda", "1000000000000000009"),
+     "lambda=1000000000000000009 must be a prime = 1 (mod p=8589934609)"),
+    # 4 times two primes near 10^17: has_order would factor n by Pollard rho
+    (("--p", "5", "--t", "3", "--n", "40000000000000422400000000000012636"),
+     "t=3 does not have order exactly n=40000000000000422400000000000012636 mod p=5"),
+]
+INVALID_INDUCE_IDS = ["t not prime", "n odd", "p not prime", "lambda not 1 mod p",
+                      "n not dividing p - 1"]
 
 
 class TestTheorem1Command:
@@ -140,34 +177,22 @@ class TestInduceCommand:
             "phi_projective_order": 4,
         }
 
-    @pytest.mark.parametrize("argv,message", [
-        (("--p", "1000000007", "--t", "4", "--n", "4"), "t must be prime, got 4"),
-        (("--p", "1000000007", "--t", "3", "--n", "5"), "n must be even and >= 2, got 5"),
-        (("--p", "1000000000000000000", "--t", "3", "--n", "4"),
-         "p must be an odd prime, got 1000000000000000000"),
-        (("--p", "8589934609", "--t", "58057635973", "--n", "4", "--lambda", "1000000000000000009"),
-         "lambda=1000000000000000009 must be a prime = 1 (mod p=8589934609)"),
-        # 4 times two primes near 10^17: has_order would factor n by Pollard rho
-        (("--p", "5", "--t", "3", "--n", "40000000000000422400000000000012636"),
-         "t=3 does not have order exactly n=40000000000000422400000000000012636 mod p=5"),
-    ], ids=["t not prime", "n odd", "p not prime", "lambda not 1 mod p", "n not dividing p - 1"])
+    @pytest.mark.parametrize("argv,message", INVALID_INDUCE, ids=INVALID_INDUCE_IDS)
     def test_invalid_input_exits_before_any_search(self, capsys, argv, message):
         # the default-lambda walk, the zeta scan or factoring n would each run for minutes here
-        class Stalled(Exception):
-            pass
-
-        def stall(signum, frame):
-            raise Stalled(f"induce {' '.join(argv)} still running after 1 s")
-
-        previous = signal.signal(signal.SIGALRM, stall)
-        signal.alarm(1)
-        try:
+        with one_second(f"induce {' '.join(argv)}"):
             code, out, err = invoke(capsys, "induce", *argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert code == 1 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv,message", INVALID_INDUCE, ids=INVALID_INDUCE_IDS)
+    def test_tame_parameters_refuse_before_any_search(self, argv, message):
+        # the record itself holds the check, so building it directly refuses the same inputs
+        kwargs = {flag[2:]: int(value) for flag, value in zip(argv[::2], argv[1::2])}
+        kwargs["lam"] = kwargs.pop("lambda", None)
+        with one_second(f"TameParameters({kwargs})"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                TameParameters(**kwargs)
 
     def test_lambda_just_below_2_63(self, capsys):
         # zeta comes from a generator of the order-5 subgroup, not a scan of

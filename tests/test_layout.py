@@ -1,5 +1,5 @@
 """Module boundaries: no package module reaches into another one's private names,
-and every import in the package is at module level."""
+every import in the package is at module level, and no line is over 100 characters."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orthoreps"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+MAX_LINE = 100
 
 
 def _package_module(node: ast.ImportFrom) -> str | None:
@@ -79,3 +80,10 @@ def test_nested_import_detector_catches_both_forms():
 @pytest.mark.parametrize("module", MODULES + ["__init__"])
 def test_imports_at_module_level(module):
     assert nested_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_lines_at_most_100_characters(module):
+    lines = (PACKAGE / f"{module}.py").read_text().splitlines()
+    assert [f"line {i}: {len(line)}" for i, line in enumerate(lines, 1)
+            if len(line) > MAX_LINE] == []
