@@ -27,7 +27,7 @@ from .irreps import (
     enumerate_restricted,
     load_exceptions,
 )
-from .root_data import LieType, RootDatum, build_root_datum, diagram_automorphism
+from .root_data import LieType, RootDatum, build_root_datum
 from .steinberg import (
     MODE_ALL,
     MODE_ORBIT,

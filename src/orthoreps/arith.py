@@ -14,19 +14,6 @@ from dataclasses import dataclass
 from math import factorial, gcd
 from typing import Iterator
 
-__all__ = [
-    "BoundInputs",
-    "PairChecks",
-    "PrimePair",
-    "PairSearchResult",
-    "compute_M",
-    "is_prime",
-    "multiplicative_order",
-    "has_order",
-    "find_prime_pairs",
-    "PRIMALITY_POLICY",
-]
-
 # Below this threshold the fixed Miller-Rabin base set is a proven
 # deterministic primality test; above it the same bases plus additional
 # fixed bases form a strong probable-prime battery.

@@ -15,8 +15,6 @@ import sys
 from . import arith, induced, irreps, steinberg
 from .root_data import LieType
 
-__all__ = ["run", "main"]
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orthoreps", description=__doc__)

@@ -19,17 +19,6 @@ from dataclasses import dataclass, field
 
 from .arith import factorize, has_order, is_prime
 
-__all__ = [
-    "TameParameters",
-    "MonomialRep",
-    "build_induced_rep",
-    "verify_orthogonality",
-    "tame_relation_holds",
-    "commutant_dimension",
-    "projective_order",
-    "rep_json",
-]
-
 
 @dataclass(frozen=True)
 class TameParameters:

@@ -26,24 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import is_prime
-from .root_data import (
-    LieType,
-    RootDatum,
-    build_root_datum,
-    coroot_columns,
-    diagram_automorphism,
-)
+from .root_data import LieType, RootDatum, build_root_datum, coroot_columns
 from .weights import as_weight, dim_from_pairings, indicator, weyl_dimension
-
-__all__ = [
-    "IrrepCandidate",
-    "ExceptionRecord",
-    "enumerate_restricted",
-    "candidates_of_dimension",
-    "default_scan_types",
-    "load_exceptions",
-    "candidate_json",
-]
 
 # Dimensions are generic for characteristics above this floor; see the
 # exceptions file for the ingested non-generic corrections.
@@ -70,8 +54,8 @@ class IrrepCandidate:
            matching_ells: Iterable[int] = ()) -> "IrrepCandidate":
         """The candidate L(weight) of datum's type with the given dimension.
 
-        cols holds the weight's support and is closed under the diagram
-        symmetry (see weights.indicator); range(datum.rank) always is.
+        cols holds the weight's support (see weights.indicator);
+        range(datum.type_id.rank) always does.
         matching_ells are the characteristics of ingested exceptions for this
         weight; they can only raise min_char.
         """
@@ -126,16 +110,12 @@ def _active_columns(datum: RootDatum, bound: int) -> tuple[int, ...]:
 def _search_columns(type_id: LieType, cols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """coroot_columns(type_id, cols), kept across calls as read-only arrays.
 
-    The search asks for the columns whose fundamental modules fit its bound.
-    -w0 keeps dimensions, so that set is closed under the diagram symmetry,
-    which the indicator on those columns relies on and which is checked
-    here, once per entry.  The set grows with the bound, so a type has at
-    most rank + 1 entries.  The heights are kept as int32 (they are at most
+    The search asks for the columns whose fundamental modules fit its bound;
+    they hold the support of every hit, which is all the indicator on those
+    columns needs.  The set grows with the bound, so a type has at most
+    rank + 1 entries.  The heights are kept as int32 (they are at most
     2 * rank - 1), a third less memory per coroot than int64.
     """
-    sym = diagram_automorphism(type_id)
-    if sorted(sym[c] for c in cols) != list(cols):
-        raise AssertionError(f"{type_id}: columns {cols} not closed under the diagram symmetry")
     sub, heights = coroot_columns(type_id, cols)
     heights = heights.astype(np.int32)
     heights.flags.writeable = False
@@ -148,7 +128,7 @@ def _search_weights(datum: RootDatum, cols: tuple[int, ...],
 
     cols is _active_columns(datum, bound).
     """
-    zero = (0,) * datum.rank
+    zero = (0,) * datum.type_id.rank
     if not cols:
         return [(zero, 1)]
     sub, heights = _search_columns(datum.type_id, cols)

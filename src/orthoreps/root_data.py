@@ -31,16 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "LieType",
-    "RootDatum",
-    "build_root_datum",
-    "coroot_columns",
-    "diagram_automorphism",
-    "positive_coroot_count",
-    "prewarm_family",
-]
-
 # Minimal/maximal rank per family (None = unbounded).
 _RANK_RULES = {
     "A": (1, None),
@@ -87,11 +77,11 @@ class RootDatum:
     coroots, and fund_dims[i] is the exact dimension of the fundamental
     module L(omega_i).  fund_order lists the columns in ascending order of
     fund_dims, so the columns whose fundamental modules fit a bound are a
-    prefix of it.
+    prefix of it.  dynkin_symmetry is the package's one permutation of the
+    columns realizing -w0, checked when the record is built.
     """
 
     type_id: LieType
-    rank: int
     two_rho_check: tuple[int, ...]
     fund_dims: tuple[int, ...]
     fund_order: tuple[int, ...]
@@ -115,7 +105,7 @@ def positive_coroot_count(type_id: LieType) -> int:
     return {6: 36, 7: 63, 8: 120}[m]
 
 
-def diagram_automorphism(type_id: LieType) -> tuple[int, ...]:
+def _diagram_symmetry(type_id: LieType) -> tuple[int, ...]:
     """Permutation (0-based) of the nodes realizing -w0 on fundamental weights.
 
     Reversal for A_m (m >= 2), swap of the two fork nodes for D_m with m
@@ -325,20 +315,23 @@ def _classical_forms(family: str, m: int) -> tuple[list[int], list[int]]:
             row[1:fork + 1] + [2 ** (m - 1)] * 2)
 
 
-def _validate_symmetry(type_id: LieType, perm: tuple[int, ...]) -> None:
+def _validate_symmetry(type_id: LieType, perm: tuple[int, ...], fund_dims: Sequence[int]) -> None:
+    """perm is an involution fixing the Cartan matrix and (-w0 keeps dimensions) fund_dims."""
     if [perm[p] for p in perm] != list(range(type_id.rank)):
         raise AssertionError(f"{type_id}: diagram symmetry is not an involution")
     cartan = _cartan_matrix(type_id.family, type_id.rank)
     if not bool((cartan[np.ix_(perm, perm)] == cartan).all()):
         raise AssertionError(f"{type_id}: Cartan matrix not fixed by the symmetry")
+    if [fund_dims[p] for p in perm] != list(fund_dims):
+        raise AssertionError(f"{type_id}: fundamental dimensions {tuple(fund_dims)} not fixed "
+                             "by the symmetry")
 
 
 @lru_cache(maxsize=None)
 def build_root_datum(type_id: LieType) -> RootDatum:
     """Construct (and verify) the root datum of one simple type, cached per type."""
     fam, m = type_id.family, type_id.rank
-    perm = diagram_automorphism(type_id)
-    _validate_symmetry(type_id, perm)
+    perm = _diagram_symmetry(type_id)
     if fam in "ABCD":
         two_rho, fund_dims = _classical_forms(fam, m)
     else:
@@ -349,9 +342,9 @@ def build_root_datum(type_id: LieType) -> RootDatum:
             nz = mat[:, k].nonzero()[0]
             fund_dims.append(math.prod((heights[nz] + mat[nz, k]).tolist())
                              // math.prod(heights[nz].tolist()))
+    _validate_symmetry(type_id, perm, fund_dims)
     return RootDatum(
         type_id=type_id,
-        rank=m,
         two_rho_check=tuple(two_rho),
         fund_dims=tuple(fund_dims),
         # The classical dimensions rise and then fall, or end in the spin

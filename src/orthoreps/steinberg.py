@@ -30,23 +30,6 @@ from .irreps import (
 )
 from .root_data import LieType, build_root_datum
 
-__all__ = [
-    "MODE_ORBIT",
-    "MODE_ALL",
-    "TensorCandidate",
-    "ExclusionNote",
-    "ClassificationReport",
-    "Theorem1Evidence",
-    "THEOREM1_PRIMES",
-    "factorizations",
-    "steinberg_products",
-    "classify_orthogonal",
-    "verify_theorem1",
-    "theorem1_sweep",
-    "report_json",
-    "evidence_json",
-]
-
 MODE_ORBIT = "class_s_orbit"
 MODE_ALL = "all_products"
 

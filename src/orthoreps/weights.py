@@ -10,15 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .root_data import LieType, RootDatum, build_root_datum, coroot_columns, diagram_automorphism
-
-__all__ = [
-    "weyl_dimension",
-    "minus_w0",
-    "is_self_dual",
-    "indicator",
-    "fs_indicator",
-]
+from .root_data import LieType, RootDatum, build_root_datum, coroot_columns
 
 # Cap keeps the int64 pairing mat-vec exact; far above any realistic weight.
 _COEFF_LIMIT = 1 << 40
@@ -83,7 +75,7 @@ def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
 
     Only the coroots that meet the weight's support enter the product.
     """
-    w = as_weight(weight, datum.rank)
+    w = as_weight(weight, datum.type_id.rank)
     support = [i for i, a in enumerate(w) if a]
     sub, heights = coroot_columns(datum.type_id, support)
     return dim_from_pairings(heights, sub @ np.asarray([w[i] for i in support], dtype=np.int64))
@@ -92,7 +84,7 @@ def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
 def minus_w0(type_id: LieType, weight: Sequence[int]) -> Weight:
     """Highest weight of the dual module: the diagram symmetry applied to lambda."""
     w = as_weight(weight, type_id.rank)
-    return tuple(w[p] for p in diagram_automorphism(type_id))
+    return tuple(w[p] for p in build_root_datum(type_id).dynkin_symmetry)
 
 
 def is_self_dual(type_id: LieType, weight: Sequence[int]) -> bool:
@@ -105,9 +97,11 @@ def indicator(datum: RootDatum, weight: Weight, cols: Sequence[int]) -> int:
     """Frobenius-Schur indicator: +1 orthogonal, -1 symplectic, 0 not self-dual.
 
     The module is self-dual iff -w0 fixes lambda; its indicator is then the
-    sign (-1)^<lambda, 2 rho^vee>.  Only the columns in cols are read: they
-    must hold the weight's support and be closed under the diagram symmetry
-    (range(rank) always is), so -w0 fixes lambda iff it fixes lambda on cols.
+    sign (-1)^<lambda, 2 rho^vee>.  Only the columns in cols are read, and
+    they must hold the weight's support (range(rank) always does).  The
+    diagram symmetry s is an involution, so where lambda differs at c and
+    s(c), one of the two is in the support and the check there sees it:
+    -w0 fixes lambda iff it fixes lambda on cols.
     The weight is not validated: pass a tuple already checked by as_weight
     against datum's rank.
     """
@@ -124,8 +118,8 @@ def fs_indicator(datum: RootDatum, weight: Sequence[int]) -> int:
     Callers must gate on is_self_dual first (the indicator-0 case is
     rejected here); see indicator for the rule.
     """
-    w = as_weight(weight, datum.rank)
-    fs = indicator(datum, w, range(datum.rank))
+    w = as_weight(weight, datum.type_id.rank)
+    fs = indicator(datum, w, range(datum.type_id.rank))
     if not fs:
         raise ValueError(
             f"{datum.type_id} weight {w} is not self-dual; the indicator is defined "

@@ -1,5 +1,6 @@
 """Module boundaries: no package module reaches into another one's private names,
-every import in the package is at module level, and no line is over 100 characters."""
+every import in the package is at module level, no module keeps an `__all__` list
+(the package API is what `__init__` imports), and no line is over 100 characters."""
 
 import ast
 from pathlib import Path
@@ -80,6 +81,32 @@ def test_nested_import_detector_catches_both_forms():
 @pytest.mark.parametrize("module", MODULES + ["__init__"])
 def test_imports_at_module_level(module):
     assert nested_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def all_assignments(source: str) -> list[str]:
+    """Statements in one module's source that assign `__all__`."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            hits.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+def test_all_detector_catches_each_form():
+    src = "__all__ = ['f']\n__all__ += ['g']\n__all__: list = []\nall_ = []\n"
+    assert all_assignments(src) == ["line 1: __all__ = ['f']", "line 2: __all__ += ['g']",
+                                    "line 3: __all__: list = []"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_all_list(module):
+    assert all_assignments((PACKAGE / f"{module}.py").read_text()) == []
 
 
 @pytest.mark.parametrize("module", MODULES + ["__init__"])

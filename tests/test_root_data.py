@@ -11,7 +11,6 @@ from orthoreps.root_data import (
     _string_closure,
     build_root_datum,
     coroot_columns,
-    diagram_automorphism,
     positive_coroot_count,
 )
 from orthoreps.weights import weyl_dimension
@@ -261,7 +260,7 @@ def test_closed_forms_match_closure(type_id):
     ids=str,
 )
 def test_diagram_automorphism(type_id, perm):
-    assert diagram_automorphism(type_id) == perm
+    assert build_root_datum(type_id).dynkin_symmetry == perm
 
 
 def lowest_weight_by_orbit(cartan: np.ndarray, weight: tuple[int, ...]) -> tuple[int, ...]:
@@ -297,7 +296,7 @@ def lowest_weight_by_orbit(cartan: np.ndarray, weight: tuple[int, ...]) -> tuple
 def test_symmetry_matches_weyl_orbit_oracle(type_id):
     m = type_id.rank
     cartan = _cartan_matrix(type_id.family, type_id.rank)
-    perm = diagram_automorphism(type_id)
+    perm = build_root_datum(type_id).dynkin_symmetry
     for i in range(m):
         omega = tuple(int(j == i) for j in range(m))
         lowest = lowest_weight_by_orbit(cartan, omega)
@@ -312,6 +311,18 @@ def test_symmetry_fixes_cartan(type_id):
     perm = list(build_root_datum(type_id).dynkin_symmetry)
     assert [perm[p] for p in perm] == list(range(type_id.rank))
     assert (cartan[np.ix_(perm, perm)] == cartan).all()
+
+
+def test_build_rejects_asymmetric_fundamental_dimensions(monkeypatch):
+    # -w0 keeps dimensions, so A3's reversal must fix its fundamental dimensions
+    monkeypatch.setattr("orthoreps.root_data._classical_forms",
+                        lambda fam, m: ([3, 4, 3], [4, 6, 5]))
+    build_root_datum.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"A3: fundamental dimensions \(4, 6, 5\)"):
+            build_root_datum(LieType("A", 3))
+    finally:
+        build_root_datum.cache_clear()
 
 
 def test_epsilon_and_triality():

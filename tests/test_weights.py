@@ -1,10 +1,14 @@
+import functools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoreps.irreps import _active_columns
-from orthoreps.root_data import LieType, build_root_datum, coroot_columns
+from orthoreps.irreps import _active_columns, enumerate_restricted
+from orthoreps.root_data import LieType, _cartan_matrix, build_root_datum, coroot_columns
 from orthoreps.weights import (
     _DENSE_LIMIT,
     dim_from_pairings,
@@ -317,3 +321,140 @@ class TestIndicatorOnActiveColumns:
         w = tuple(w)
         assert indicator(datum, w, cols) == full_rank_indicator(datum, w)
         assert indicator(datum, w, range(t.rank)) == full_rank_indicator(datum, w)
+        # The support plus any extra columns, closed under the symmetry or not
+        extra = data.draw(st.lists(st.integers(0, t.rank - 1), max_size=4))
+        cols = sorted({c for c in cols if w[c]}.union(extra))
+        assert indicator(datum, w, cols) == full_rank_indicator(datum, w)
+
+
+def positive_roots(cartan):
+    """Positive roots in simple-root coordinates, by root strings.
+
+    The alpha_i-string through beta runs from beta - p alpha_i to
+    beta + q alpha_i with p - q = <beta, alpha_i^vee>, so beta + alpha_i is a
+    root iff p > <beta, alpha_i^vee>; p is read off the roots already found.
+    """
+    m = len(cartan)
+    level = {tuple(int(i == j) for j in range(m)) for i in range(m)}
+    roots = set(level)
+    while level:
+        grown = set()
+        for beta in level:
+            for i in range(m):
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in roots:
+                    p += 1
+                if p > sum(cartan[i][j] * beta[j] for j in range(m)):
+                    grown.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+        roots |= grown
+        level = grown
+    return sorted(roots)
+
+
+def symmetrizer(cartan):
+    """Positive integers d with d_i cartan[i][j] = d_j cartan[j][i] (connected diagram).
+
+    Then (alpha_i, alpha_j) = d_i cartan[i][j] is an invariant form.
+    """
+    d = {0: Fraction(1)}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(len(cartan)):
+            if j != i and cartan[i][j] and j not in d:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                stack.append(j)
+    scale = math.lcm(*(f.denominator for f in d.values()))
+    return [int(d[i] * scale) for i in range(len(cartan))]
+
+
+def freudenthal(cartan, weight):
+    """Weight multiplicities of L(weight) by Freudenthal's formula.
+
+    A weight mu = weight - sum_j c_j alpha_j is keyed by its depth c and
+    held in fundamental coordinates, in which alpha_j is column j of the
+    Cartan matrix and (mu, alpha) = sum_j alpha_j d_j mu_j.  Every weight
+    below the top is some weight above it less a simple root, so the
+    candidates of each depth come from the weights one level up.  A weight
+    below the top has |weight + rho|^2 > |mu + rho|^2, and a candidate that
+    is not a weight has a sum of 0.
+    """
+    m = len(cartan)
+    d = symmetrizer(cartan)
+    roots = [[(j, y, y * d[j]) for j, y in enumerate(a) if y] for a in positive_roots(cartan)]
+    fund = {(0,) * m: tuple(weight)}
+    mult = {(0,) * m: 1}
+    level = [(0,) * m]
+    while level:
+        grown = sorted({c[:j] + (c[j] + 1,) + c[j + 1:] for c in level for j in range(m)})
+        level = []
+        for c in grown:
+            mu = tuple(weight[i] - sum(cartan[i][j] * c[j] for j in range(m)) for i in range(m))
+            gap = sum(c[j] * d[j] * (weight[j] + mu[j] + 2) for j in range(m))
+            if gap <= 0:
+                continue
+            total = 0
+            for root in roots:
+                for k in range(1, 1 + min(c[j] // y for j, y, _ in root)):
+                    above = list(c)
+                    for j, y, _ in root:
+                        above[j] -= k * y
+                    above = tuple(above)
+                    if above in mult:
+                        total += 2 * mult[above] * sum(e * fund[above][j] for j, _, e in root)
+            if total:
+                assert total % gap == 0, (weight, c)
+                fund[c], mult[c] = mu, total // gap
+                level.append(c)
+    return [(fund[c], k) for c, k in mult.items()]
+
+
+def weyl_sign(cartan, nu):
+    """sign(w) if w(nu + rho) = rho for some Weyl group element w, else 0."""
+    v = [a + 1 for a in nu]
+    sign = 1
+    while True:
+        i = next((i for i, a in enumerate(v) if a < 0), None)
+        if i is None:
+            return sign if all(a == 1 for a in v) else 0
+        vi = v[i]
+        for j in range(len(v)):
+            v[j] -= vi * cartan[j][i]
+        sign = -sign
+
+
+@functools.lru_cache(maxsize=None)
+def brauer_klimyk(type_id, weight):
+    """(dimension, FS indicator) of L(weight), from the Cartan matrix and the roots alone.
+
+    FS is the multiplicity of the trivial module in psi^2 of the character,
+    sum_mu m_mu e^(2 mu); by Brauer-Klimyk that is sum_mu m_mu c(2 mu), with
+    c(nu) = sign(w) if w(nu + rho) = rho and 0 otherwise.
+    """
+    cartan = _cartan_matrix(type_id.family, type_id.rank).tolist()
+    weights = freudenthal(cartan, weight)
+    return (sum(k for _, k in weights),
+            sum(k * weyl_sign(cartan, [2 * a for a in mu]) for mu, k in weights))
+
+
+# Every family at small rank and every exceptional type.  The E types are read
+# up to dimension 248, that of E8's least nontrivial module (its adjoint).
+BK_TYPES = ([LieType("A", m) for m in range(1, 8)] + [LieType("B", m) for m in range(2, 6)]
+            + [LieType("C", m) for m in range(3, 6)] + [LieType("D", m) for m in range(4, 7)]
+            + [LieType("E", m) for m in (6, 7, 8)] + [LieType("F", 4), LieType("G", 2)])
+
+
+@st.composite
+def small_module(draw):
+    t = draw(st.sampled_from(BK_TYPES))
+    return draw(st.sampled_from(enumerate_restricted(t, 248 if t.family == "E" else 60)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_module())
+def test_dimension_and_indicator_match_brauer_klimyk(cand):
+    datum = build_root_datum(cand.type_id)
+    dim, fs = brauer_klimyk(cand.type_id, cand.weight)
+    assert (cand.dim, cand.fs) == (dim, fs)
+    assert weyl_dimension(datum, cand.weight) == dim
+    assert indicator(datum, cand.weight, range(cand.type_id.rank)) == fs
