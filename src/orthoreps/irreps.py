@@ -106,20 +106,9 @@ def _active_columns(datum: RootDatum, bound: int) -> tuple[int, ...]:
     return tuple(sorted(order[:bisect_right(order, bound, key=datum.fund_dims.__getitem__)]))
 
 
-@lru_cache(maxsize=None)
-def _search_columns(type_id: LieType, cols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """coroot_columns(type_id, cols), kept across calls as read-only arrays.
-
-    The search asks for the columns whose fundamental modules fit its bound;
-    they hold the support of every hit, which is all the indicator on those
-    columns needs.  The set grows with the bound, so a type has at most
-    rank + 1 entries.  The heights are kept as int32 (they are at most
-    2 * rank - 1), a third less memory per coroot than int64.
-    """
-    sub, heights = coroot_columns(type_id, cols)
-    heights = heights.astype(np.int32)
-    heights.flags.writeable = False
-    return sub, heights
+# coroot_columns, kept per (type, active columns): the active set grows with
+# the bound, so a type has at most rank + 1 blocks.
+_search_columns = lru_cache(maxsize=None)(coroot_columns)
 
 
 def _search_weights(datum: RootDatum, cols: tuple[int, ...],

@@ -14,11 +14,10 @@ from their simple coroots, level by level in the height grading, by the
 root-string criterion (beta + alpha_k is a coroot iff the string of beta
 through alpha_k descends further than the Cartan pairing allows).
 
-Either way the coroots come out ordered by height and then
-lexicographically, so output built on them is byte-stable across runs.
-Simple roots are numbered in the Bourbaki convention throughout.  The
-Cartan matrix has entry ``cartan[i][j] = <alpha_j, alpha_i^vee>`` (row =
-coroot index, column = root index), so the j-th column is the coordinate
+Every reader only sums or counts the coroots, so they come in no set
+order.  Simple roots are numbered in the Bourbaki convention throughout.
+The Cartan matrix has entry ``cartan[i][j] = <alpha_j, alpha_i^vee>`` (row
+= coroot index, column = root index), so the j-th column is the coordinate
 vector of alpha_j in the fundamental-weight basis.
 """
 
@@ -212,13 +211,13 @@ def _closure_coroots(type_id: LieType) -> tuple[np.ndarray, np.ndarray]:
     if mat.shape[0] != positive_coroot_count(type_id):
         raise AssertionError(f"{type_id}: generated {mat.shape[0]} positive coroots, "
                              f"expected {positive_coroot_count(type_id)}")
-    heights = mat.sum(axis=1, dtype=np.int64)
+    heights = mat.sum(axis=1, dtype=np.int32)
     mat.flags.writeable = heights.flags.writeable = False
     return mat, heights
 
 
 def _classical_steps(family: str, m: int, cols: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(f, p, q, height) of the classical coroots that meet cols, in (height, lex) order.
+    """(f, p, q, height) of the classical coroots that meet cols, in no set order.
 
     A coroot's entry at column c is [c >= f] + [c >= p] - [c >= q], and it
     is zero left of f, so only the f up to the last col matter.  The
@@ -226,35 +225,27 @@ def _classical_steps(family: str, m: int, cols: np.ndarray) -> tuple[np.ndarray,
     intervals [i, j - 1]; the one from i meets cols iff it reaches the least
     col >= i.  For B, C and D each e_i + e_j (2e_i for B, e_i for C) has
     f = i, p = j and q = m - 1, m or m - 2, and reaches column m - 1.
-
-    The (height, lex) order of the string closure is the order of height,
-    then of f descending, then, for the one pair of D coroots that share
-    both (e_i -+ e_{m-1}), the e_i + e_{m-1} first.  Each coroot's sort key
-    is 2 * (height * m + m - 1 - f), plus 1 for an e_i - e_j, and a run of
-    coroots from the same i steps that key by 2m.
+    Either way the height is m - f - p + q.
     """
     hits = np.sort(cols)
     firsts = np.arange(hits[-1] + 1 if hits.size else 0)
     nxt = hits[np.searchsorted(hits, firsts)]  # least col >= i
-    top = m - 1 if family == "A" else m - 2  # e_i - e_j from j = nxt[i] + 1 up to top + 1
-    base = 2 * ((nxt + 1 - firsts) * m + m - 1 - firsts) + 1
-    counts = np.maximum(top + 1 - nxt, 0)
+    top = m - 1 if family == "A" else m - 2  # e_i - e_j for j = nxt[i] + 1 up to top + 1
+    starts, counts = nxt + 1, np.maximum(top + 1 - nxt, 0)
     q_plus = m
-    if family != "A":  # e_i + e_j from j = j_top down to i + j_lo
+    if family != "A":  # e_i + e_j for j = i + j_lo up to j_top
         j_lo, q_plus, j_top = {"B": (0, m - 1, m - 1), "C": (1, m, m),
                                "D": (1, m - 2, m - 1)}[family]
         if family == "D" and firsts.size == m - 1:
             j_top = j_top - (nxt == m - 2)  # e_i + e_{m-1} is zero at column m - 2
-        base = np.concatenate((base, 2 * ((m + q_plus - firsts - j_top) * m + m - 1 - firsts)))
+        starts = np.concatenate((starts, firsts + j_lo))
         counts = np.concatenate((counts, j_top + 1 - j_lo - firsts))
-    ends = np.cumsum(counts)  # run g is base[g], base[g] + 2m, ..., counts[g] keys
-    keys = np.repeat(base - 2 * m * (ends - counts), counts)
-    keys += 2 * m * np.arange(keys.size)
-    keys.sort()
-    height, rem = np.divmod(keys, 2 * m)
-    f = m - 1 - (rem >> 1)
-    q = np.where(rem & 1, f + height, q_plus)  # last + 1 for an e_i - e_j
-    return f, m - f - height + q, q, height
+    j = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    j += np.arange(j.size)  # run g counts up from starts[g]
+    f = np.repeat(np.resize(firsts, counts.size), counts)  # each i heads a run of each kind
+    minus = np.arange(j.size) < counts[:firsts.size].sum()
+    p, q = np.where(minus, m, j), np.where(minus, j, q_plus)
+    return f, p, q, (m - f - p + q).astype(np.int32)
 
 
 def prewarm_family(family: str, rank: int) -> None:
@@ -271,12 +262,13 @@ def coroot_columns(type_id: LieType, cols: Sequence[int]) -> tuple[np.ndarray, n
     """Pairings and heights of the coroots that meet cols, as read-only arrays.
 
     Keeps the positive coroots that pair nonzero with some omega_j (j in
-    cols), in (height, lex) order, and returns their pairings with the
-    omega_j, one column per entry of cols in the order given (column-major,
-    int16), with their heights ``<rho, coroot>`` (int64).  range(rank)
-    gives every coroot.  For A-D only those coroots are built, from the
-    closed forms; E, F and G read them from the cached closure.  The result
-    is not kept here: the module search keeps the blocks it reuses.
+    cols), in no set order, and returns their pairings with the omega_j,
+    one column per entry of cols in the order given (column-major, int16),
+    with their heights ``<rho, coroot>`` (int32: at most 2 * rank - 1).
+    range(rank) gives every coroot.  For A-D only those coroots are built,
+    from the closed forms; E, F and G read them from the cached closure.
+    The result is not kept here: the module search keeps the blocks it
+    reuses.
     """
     cols = np.asarray(cols, dtype=np.intp)
     if type_id.family in "ABCD":

@@ -270,7 +270,9 @@ def classify_orthogonal(
 
     min_char fixes the characteristic regime the report is valid for
     (dimensions are generic there); it defaults to max(GENERIC_CHAR_FLOOR,
-    n + 1) and must be at least GENERIC_CHAR_FLOOR.  The scan covers every
+    n + 1), must be at least GENERIC_CHAR_FLOOR and must exceed n: at some
+    ell <= n a module whose generic dimension exceeds n can have dimension
+    n, and the scan never reaches it.  The scan covers every
     type whose natural module fits in dimension n, assembles tensor
     candidates per factorization of n, drops non-self-dual products, and
     splits the rest by indicator.  Every dropped branch is recorded in the
@@ -301,6 +303,9 @@ def _classify(
     if min_char < GENERIC_CHAR_FLOOR:
         raise ValueError(f"min_char must be at least {GENERIC_CHAR_FLOOR} (generic regime), "
                          f"got {min_char}")
+    if min_char <= n:
+        raise ValueError(f"min_char must exceed n={n}: generic dimensions are certified only "
+                         f"above n, got {min_char}")
 
     facts = factorizations(n)
     divisors = {d for fact in facts for d in fact}

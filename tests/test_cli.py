@@ -107,6 +107,13 @@ class TestClassifyCommand:
         assert code == 1
         assert "even" in err
 
+    def test_min_char_at_most_n_rejected(self, capsys):
+        # At ell = 23 the B11 module L(2*omega_1) is 274-dimensional and
+        # orthogonal; a scan of generic dimensions cannot see it.
+        code, out, err = invoke(capsys, "classify", "--n", "274", "--min-char", "23")
+        assert code == 1 and out == ""
+        assert "generic dimensions are certified only above n" in err
+
     def test_mode_flag(self, capsys):
         code, out, _ = invoke(capsys, "classify", "--n", "4", "--mode", "all")
         assert code == 0

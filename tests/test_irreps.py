@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from orthoreps import irreps, weights
 from orthoreps.cli import run
 from orthoreps.irreps import (
     ExceptionRecord,
@@ -16,7 +17,7 @@ from orthoreps.irreps import (
     enumerate_restricted,
     load_exceptions,
 )
-from orthoreps.root_data import LieType, build_root_datum
+from orthoreps.root_data import LieType, build_root_datum, coroot_columns
 from orthoreps.steinberg import classify_orthogonal
 from orthoreps.weights import weyl_dimension
 
@@ -153,6 +154,37 @@ def test_column_cache_is_transparent(type_id):
     for order in (bounds[::-1], bounds, bounds):  # descending, ascending, repeated
         for b in order:
             assert enumerate_restricted(type_id, b) == fresh[b]
+
+
+@pytest.mark.parametrize("type_id", [LieType("A", 5), LieType("B", 4), LieType("C", 5),
+                                     LieType("D", 7), LieType("E", 6), LieType("F", 4),
+                                     LieType("G", 2)], ids=str)
+def test_readers_treat_coroots_as_a_set(type_id, monkeypatch):
+    # Every reader only sums or counts the coroots, so handing them over
+    # reversed or shuffled changes no module and no dimension.
+    datum = build_root_datum(type_id)
+    bounds = sorted({1, 50, 300, *datum.fund_dims})
+    rng = np.random.default_rng(7)
+    sample = [tuple(rng.integers(0, 4, type_id.rank).tolist()) for _ in range(12)]
+    _search_columns.cache_clear()
+    modules = [enumerate_restricted(type_id, b) for b in bounds]
+    dims = [weyl_dimension(datum, w) for w in sample]
+    for order in (lambda k: np.arange(k)[::-1], rng.permutation):
+        def reordered(t, cols, order=order):
+            sub, heights = coroot_columns(t, cols)
+            perm = order(heights.size)
+            sub, heights = sub[perm], heights[perm]
+            sub.flags.writeable = heights.flags.writeable = False
+            return sub, heights
+
+        monkeypatch.setattr(irreps, "_search_columns", reordered)
+        monkeypatch.setattr(weights, "coroot_columns", reordered)
+        try:
+            assert [enumerate_restricted(type_id, b) for b in bounds] == modules
+            assert [weyl_dimension(datum, w) for w in sample] == dims
+        finally:
+            monkeypatch.undo()
+            _search_columns.cache_clear()
 
 
 def test_column_cache_is_read_only():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoreps import steinberg
+from orthoreps.arith import is_prime
 from orthoreps.irreps import (
     GENERIC_CHAR_FLOOR,
     ExceptionRecord,
@@ -352,14 +354,21 @@ def oracle_classify(n, min_char, mode, exceptions, factors_of):
 @given(
     st.integers(1, 60).map(lambda h: 2 * h) | st.sampled_from([144, 240, 288]),
     st.sampled_from([MODE_ORBIT, MODE_ALL]),
-    st.sampled_from([None, 20]),
+    st.none() | st.integers(0, 8),
     st.booleans(),
 )
-def test_notes_per_divisor_signature_match_oracle(n, mode, min_char, with_exceptions):
-    # One self-dual record (B2, kept or below the floor) and one that is not
-    # (A2); both lower their generic dimensions, 640 and 300, at every n drawn.
+def test_notes_per_divisor_signature_match_oracle(n, mode, offset, with_exceptions):
+    # min_char is the default or a little above n.  Records: one self-dual
+    # (B2) and one that is not (A2), both of dimension n (their generic
+    # dimensions are 640 and 300); and A1's n-dimensional L((n - 1,)) at the
+    # least prime ell >= min_char, which raises that factor's min_char to
+    # ell + 1, so the characteristic-floor rule drops it.
+    min_char = None if offset is None else max(GENERIC_CHAR_FLOOR, n + 1 + offset)
+    floor = max(GENERIC_CHAR_FLOOR, n + 1) if min_char is None else min_char
+    ell = next(p for p in itertools.count(floor) if is_prime(p))
     exceptions = (ExceptionRecord(LieType("B", 2), (5, 3), 23, n),
-                  ExceptionRecord(LieType("A", 2), (23, 0), 3, n)) if with_exceptions else ()
+                  ExceptionRecord(LieType("A", 2), (23, 0), 3, n),
+                  ExceptionRecord(A1, (n - 1,), ell, 1)) if with_exceptions else ()
     report = classify_orthogonal(n, min_char, mode, exceptions)
     oracle = oracle_classify(n, min_char, mode, exceptions,
                              lambda t: steinberg._factors_by_dim(t, n, exceptions))

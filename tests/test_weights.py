@@ -11,6 +11,7 @@ from orthoreps.irreps import _active_columns, enumerate_restricted
 from orthoreps.root_data import LieType, _cartan_matrix, build_root_datum, coroot_columns
 from orthoreps.weights import (
     _DENSE_LIMIT,
+    as_weight,
     dim_from_pairings,
     fs_indicator,
     indicator,
@@ -81,6 +82,18 @@ class TestWeylDimension:
             weyl_dimension(build_root_datum(LieType("B", 2)), (1, 0, 0))
         with pytest.raises(ValueError):
             weyl_dimension(build_root_datum(LieType("B", 2)), (1, -1))
+
+    def test_non_integer_coefficients_rejected(self):
+        # int() would truncate 1.9 to 1 and read "3" as 3; only integer
+        # types are coefficients, numpy ones included.
+        a2 = build_root_datum(LieType("A", 2))
+        for bad, name in (((1.9, 0), "1.9"), (("3", 1), "'3'"), ((np.float64(2.0), 0), "2.0")):
+            with pytest.raises(ValueError, match=f"coefficient .*{name}.* not an integer"):
+                weyl_dimension(a2, bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            as_weight(["3", True], 2)
+        assert as_weight((np.int64(2), np.int16(1)), 2) == (2, 1)
+        assert weyl_dimension(a2, (np.int32(1), 0)) == 3
 
     @settings(max_examples=60, deadline=None)
     @given(type_and_weight())
@@ -175,7 +188,7 @@ class TestDimFromPairings:
         coroots, rho_pairings = coroot_columns(type_id, range(type_id.rank))
         pair = coroots @ np.asarray(_w(type_id.rank, n1=1), dtype=np.int64)
         bumped = rho_pairings.copy()
-        bumped[-1] += 1  # the highest coroot pairs nonzero with omega_1
+        bumped[bumped.argmax()] += 1  # the highest coroot pairs nonzero with omega_1
         for heights in (bumped, 2 * rho_pairings):
             with pytest.raises(ArithmeticError):
                 balanced_dim_from_pairings(heights, pair)
