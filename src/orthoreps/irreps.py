@@ -4,20 +4,21 @@ The search walks the dominant-weight lattice depth-first, incrementing one
 coordinate at a time; strict monotonicity of the Weyl dimension in every
 coordinate makes pruning at the bound exhaustive.  Coordinates whose
 fundamental module already exceeds the bound can never appear in a hit, so
-the walk is confined to the "active" coordinates, read off the exact
-fundamental dimensions of the type's RootDatum, which keeps scans over
-large-rank types cheap.  The pairings and heights of the coroots that meet
-those coordinates are kept per (type, active coordinates), so a repeated
-search builds no coroot, and the self-duality and indicator of every hit
-are read on the same coordinates.  Generic (characteristic-zero)
-dimensions are reported; known small-characteristic corrections are
-ingested from a CSV exceptions file rather than computed.
+the walk is confined to the "active" coordinates.  The fundamental
+dimensions of a type rise and then fall along the diagram, so the active
+coordinates are a prefix and a suffix of it, read off the type's RootDatum
+from both ends: a scan over large-rank types reads only a few columns of
+each.  The pairings and heights of the coroots that meet those
+coordinates are kept per (type, active coordinates), so a repeated search
+builds no coroot, and the self-duality and indicator of every hit are read
+on the same coordinates.  Generic (characteristic-zero) dimensions are
+reported; known small-characteristic corrections are ingested from a CSV
+exceptions file rather than computed.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -100,10 +101,18 @@ class ExceptionRecord:
 def _active_columns(datum: RootDatum, bound: int) -> tuple[int, ...]:
     """The columns whose fundamental modules fit the bound; no hit leaves them.
 
-    They are the prefix of fund_order up to the bound, found by bisection.
+    Every row of fundamental dimensions rises and then falls, so the columns
+    that fit are a prefix and a suffix: walking in from both ends reads
+    only them and the two columns that stop the walks.
     """
-    order = datum.fund_order
-    return tuple(sorted(order[:bisect_right(order, bound, key=datum.fund_dims.__getitem__)]))
+    dims, m = datum.fund_dims, datum.type_id.rank
+    lo = 0
+    while lo < m and dims[lo] <= bound:
+        lo += 1
+    hi = m
+    while hi > lo and dims[hi - 1] <= bound:
+        hi -= 1
+    return (*range(lo), *range(hi, m))
 
 
 # coroot_columns, kept per (type, active columns): the active set grows with
@@ -159,8 +168,13 @@ def enumerate_restricted(
     """All restricted modules of one type with generic dimension <= dim_bound.
 
     Output is duplicate-free and sorted by (dimension, weight); the trivial
-    module is included.  Exceptions matching a weight raise its min_char so
-    callers know where the generic dimension stops being trustworthy.
+    module is included.  A module's min_char is the least ell >=
+    GENERIC_CHAR_FLOOR at which its weight is restricted (every coefficient
+    below ell), raised above the ell of each matching exception at or above
+    that floor.  It is not a certificate: the generic dimension can fail
+    above it.  B11's L(2 omega_1) has min_char 20 and generic dimension 275,
+    but at ell = 23 it is 274-dimensional, and the A22 adjoint drops there
+    too.
     """
     if dim_bound < 1:
         raise ValueError(f"dimension bound must be >= 1, got {dim_bound}")

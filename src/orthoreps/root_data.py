@@ -24,9 +24,9 @@ vector of alpha_j in the fundamental-weight basis.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -64,27 +64,27 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RootDatum:
     """Immutable per-type data for one simple Lie type.
 
     This is the package's one per-type record, cached per type by
-    build_root_datum, so it holds only rank-sized data.  coroot_columns
-    supplies the coroots themselves; the module search keeps the blocks it
-    reads per (type, active columns).  two_rho_check[i] is
+    build_root_datum, so for A-D it holds O(1) data whatever the rank.
+    coroot_columns supplies the coroots themselves; the module search keeps
+    the blocks it reads per (type, active columns).  two_rho_check[i] is
     ``<omega_i, 2 rho^vee>``, the i-th coordinate of the sum of the positive
     coroots, and fund_dims[i] is the exact dimension of the fundamental
-    module L(omega_i).  fund_order lists the columns in ascending order of
-    fund_dims, so the columns whose fundamental modules fit a bound are a
-    prefix of it.  dynkin_symmetry is the package's one permutation of the
-    columns realizing -w0, checked when the record is built.
+    module L(omega_i): for A-D each is a read-only sequence that evaluates
+    the type's closed form at the one column asked for, and for E, F and G
+    a tuple.  dynkin_symmetry is the package's one permutation of the
+    columns realizing -w0, checked when the record is built: a range, or a
+    tuple for D_m with m odd and for E6.
     """
 
     type_id: LieType
-    two_rho_check: tuple[int, ...]
-    fund_dims: tuple[int, ...]
-    fund_order: tuple[int, ...]
-    dynkin_symmetry: tuple[int, ...]
+    two_rho_check: Sequence[int]
+    fund_dims: Sequence[int]
+    dynkin_symmetry: Sequence[int]
     epsilon: int
 
 
@@ -104,7 +104,7 @@ def positive_coroot_count(type_id: LieType) -> int:
     return {6: 36, 7: 63, 8: 120}[m]
 
 
-def _diagram_symmetry(type_id: LieType) -> tuple[int, ...]:
+def _diagram_symmetry(type_id: LieType) -> Sequence[int]:
     """Permutation (0-based) of the nodes realizing -w0 on fundamental weights.
 
     Reversal for A_m (m >= 2), swap of the two fork nodes for D_m with m
@@ -113,12 +113,12 @@ def _diagram_symmetry(type_id: LieType) -> tuple[int, ...]:
     m = type_id.rank
     fam = type_id.family
     if fam == "A" and m >= 2:
-        return tuple(reversed(range(m)))
+        return range(m - 1, -1, -1)
     if fam == "D" and m % 2 == 1:
-        return tuple(range(m - 2)) + (m - 1, m - 2)
+        return (*range(m - 2), m - 1, m - 2)
     if fam == "E" and m == 6:
         return (5, 1, 4, 3, 2, 0)
-    return tuple(range(m))
+    return range(m)
 
 
 def _epsilon(type_id: LieType) -> int:
@@ -291,23 +291,65 @@ def _binomials(n: int, top: int) -> list[int]:
     return row
 
 
-def _classical_forms(family: str, m: int) -> tuple[list[int], list[int]]:
-    """<omega_k, 2 rho^vee> and dim L(omega_k), k = 1..m, in closed form."""
-    ks = range(1, m + 1)
+def _forms(family: str, m: int) -> tuple[int, int, bool, int, int, int]:
+    """The closed forms of a classical type, declared once: (t, b, less, s, r, e).
+
+    Column k = 1..m - s has <omega_k, 2 rho^vee> = k(t - k) and
+    dim L(omega_k) = C(b, k), less C(b, k - 2) if less; the last s columns
+    carry the spin modules, each with <omega_k, 2 rho^vee> = r and
+    dimension 2^e.
+    """
     if family == "A":
-        return [k * (m + 1 - k) for k in ks], _binomials(m + 1, m)[1:]
+        return m + 1, m + 1, False, 0, 0, 0
     if family == "B":
-        return ([k * (2 * m - k + 1) for k in ks[:-1]] + [m * (m + 1) // 2],
-                _binomials(2 * m + 1, m - 1)[1:] + [2**m])
-    row = _binomials(2 * m, m)
+        return 2 * m + 1, 2 * m + 1, False, 1, m * (m + 1) // 2, m
     if family == "C":
-        return [k * (2 * m - k) for k in ks], [row[k] - (row[k - 2] if k > 1 else 0) for k in ks]
-    fork = m - 2  # D: the last two nodes carry the half-spin modules
-    return ([k * (2 * m - k - 1) for k in ks[:fork]] + [m * (m - 1) // 2] * 2,
-            row[1:fork + 1] + [2 ** (m - 1)] * 2)
+        return 2 * m, 2 * m, True, 0, 0, 0
+    return 2 * m - 1, 2 * m, False, 2, m * (m - 1) // 2, m - 1  # D: the fork
 
 
-def _validate_symmetry(type_id: LieType, perm: tuple[int, ...], fund_dims: Sequence[int]) -> None:
+class _ClosedForm(Sequence[int]):
+    """One row of a type's _forms (dimensions or 2 rho^vee), read a column at a time.
+
+    It reads like a tuple of the row, but keeps only the forms, so a record
+    costs the same at every rank.
+    """
+
+    __slots__ = ("_cols", "_forms", "_dims")
+
+    def __init__(self, cols: range, forms: tuple, dims: bool) -> None:
+        self._cols, self._forms, self._dims = cols, forms, dims
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __getitem__(self, c):
+        c = self._cols[c]  # IndexError past either end; a slice gives a range
+        if type(c) is range:
+            return tuple(map(self.__getitem__, c))
+        t, b, less, s, r, e = self._forms
+        k = c + 1
+        if k > len(self._cols) - s:
+            return 2**e if self._dims else r
+        if not self._dims:
+            return k * (t - k)
+        return math.comb(b, k) - (math.comb(b, k - 2) if less and k > 1 else 0)
+
+
+def _classical_forms(family: str, m: int) -> tuple[list[int], list[int]]:
+    """The rows of <omega_k, 2 rho^vee> and dim L(omega_k), k = 1..m, from _forms.
+
+    The binomials come from one recurrence per type, not one C(b, k) per
+    column.
+    """
+    t, b, less, s, r, e = _forms(family, m)
+    ks = range(1, m - s + 1)
+    row = _binomials(b, m - s)
+    dims = [row[k] - (row[k - 2] if less and k > 1 else 0) for k in ks]
+    return [k * (t - k) for k in ks] + [r] * s, dims + [2**e] * s
+
+
+def _validate_symmetry(type_id: LieType, perm: Sequence[int], fund_dims: Sequence[int]) -> None:
     """perm is an involution fixing the Cartan matrix and (-w0 keeps dimensions) fund_dims."""
     if [perm[p] for p in perm] != list(range(type_id.rank)):
         raise AssertionError(f"{type_id}: diagram symmetry is not an involution")
@@ -321,28 +363,31 @@ def _validate_symmetry(type_id: LieType, perm: tuple[int, ...], fund_dims: Seque
 
 @lru_cache(maxsize=None)
 def build_root_datum(type_id: LieType) -> RootDatum:
-    """Construct (and verify) the root datum of one simple type, cached per type."""
+    """Construct (and verify) the root datum of one simple type, cached per type.
+
+    For A-D the rows of the closed forms are checked here and then dropped:
+    the record reads them a column at a time.
+    """
     fam, m = type_id.family, type_id.rank
     perm = _diagram_symmetry(type_id)
     if fam in "ABCD":
-        two_rho, fund_dims = _classical_forms(fam, m)
+        dims = _classical_forms(fam, m)[1]
+        cols, forms = range(m), _forms(fam, m)  # one of each per record, for both rows
+        two_rho, fund_dims = _ClosedForm(cols, forms, False), _ClosedForm(cols, forms, True)
     else:
         mat, heights = _closure_coroots(type_id)
-        two_rho = mat.sum(axis=0).tolist()
-        fund_dims = []
+        two_rho = tuple(mat.sum(axis=0).tolist())
+        dims = []
         for k in range(m):  # Weyl's formula for omega_k
             nz = mat[:, k].nonzero()[0]
-            fund_dims.append(math.prod((heights[nz] + mat[nz, k]).tolist())
-                             // math.prod(heights[nz].tolist()))
-    _validate_symmetry(type_id, perm, fund_dims)
+            dims.append(math.prod((heights[nz] + mat[nz, k]).tolist())
+                        // math.prod(heights[nz].tolist()))
+        fund_dims = tuple(dims)
+    _validate_symmetry(type_id, perm, dims)
     return RootDatum(
         type_id=type_id,
-        two_rho_check=tuple(two_rho),
-        fund_dims=tuple(fund_dims),
-        # The classical dimensions rise and then fall, or end in the spin
-        # modules, so this sort meets at most two runs.  perm holds every
-        # column once; sorting it shares its int objects, not new ones.
-        fund_order=tuple(sorted(perm, key=fund_dims.__getitem__)),
+        two_rho_check=two_rho,
+        fund_dims=fund_dims,
         dynkin_symmetry=perm,
         epsilon=_epsilon(type_id),
     )

@@ -106,11 +106,12 @@ def indicator(datum: RootDatum, weight: Weight, cols: Sequence[int]) -> int:
     """Frobenius-Schur indicator: +1 orthogonal, -1 symplectic, 0 not self-dual.
 
     The module is self-dual iff -w0 fixes lambda; its indicator is then the
-    sign (-1)^<lambda, 2 rho^vee>.  Only the columns in cols are read, and
-    they must hold the weight's support (range(rank) always does).  The
-    diagram symmetry s is an involution, so where lambda differs at c and
-    s(c), one of the two is in the support and the check there sees it:
-    -w0 fixes lambda iff it fixes lambda on cols.
+    sign (-1)^<lambda, 2 rho^vee>, to which only the columns where lambda is
+    odd contribute.  Only the columns in cols are read, and they must hold
+    the weight's support (range(rank) always does).  The diagram symmetry s
+    is an involution, so where lambda differs at c and s(c), one of the two
+    is in the support and the check there sees it: -w0 fixes lambda iff it
+    fixes lambda on cols.
     The weight is not validated: pass a tuple already checked by as_weight
     against datum's rank.
     """
@@ -118,7 +119,7 @@ def indicator(datum: RootDatum, weight: Weight, cols: Sequence[int]) -> int:
     if any(weight[sym[c]] != weight[c] for c in cols):
         return 0
     two_rho = datum.two_rho_check
-    return -1 if sum(two_rho[c] * weight[c] for c in cols) % 2 else 1
+    return -1 if sum(two_rho[c] for c in cols if weight[c] % 2) % 2 else 1
 
 
 def fs_indicator(datum: RootDatum, weight: Sequence[int]) -> int:

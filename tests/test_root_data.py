@@ -1,13 +1,17 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoreps.irreps import default_scan_types
 from orthoreps.root_data import (
     LieType,
+    _RANK_RULES,
     _cartan_matrix,
+    _classical_forms,
     _string_closure,
     build_root_datum,
     coroot_columns,
@@ -177,7 +181,7 @@ def test_rho_pairings(type_id):
 @pytest.mark.parametrize("type_id", SMALL_TYPES, ids=str)
 def test_two_rho_is_coroot_sum(type_id):
     datum = build_root_datum(type_id)
-    assert (datum.two_rho_check == all_coroots(type_id)[0].sum(axis=0)).all()
+    assert (tuple(datum.two_rho_check) == all_coroots(type_id)[0].sum(axis=0)).all()
     assert all(v > 0 for v in datum.two_rho_check)
 
 
@@ -186,7 +190,7 @@ def test_a1_datum():
     assert coroots.shape[0] == 1
     assert heights.tolist() == [1]
     datum = build_root_datum(LieType("A", 1))
-    assert datum.two_rho_check == (1,) and datum.fund_dims == (2,)
+    assert tuple(datum.two_rho_check) == (1,) and tuple(datum.fund_dims) == (2,)
 
 
 def test_d4_count():
@@ -231,7 +235,7 @@ def test_closed_forms_match_closure(type_id):
     assert coroots.shape == full.shape and coroots.dtype == full.dtype
     assert same_coroots(coroots, got_heights, full, heights)
     datum = build_root_datum(type_id)
-    assert datum.two_rho_check == tuple(full.sum(axis=0).tolist())
+    assert tuple(datum.two_rho_check) == tuple(full.sum(axis=0).tolist())
     for i in range(type_id.rank):
         omega = tuple(int(j == i) for j in range(type_id.rank))
         assert datum.fund_dims[i] == weyl_dimension(datum, omega), (type_id, i)
@@ -240,6 +244,60 @@ def test_closed_forms_match_closure(type_id):
         sub, sub_heights = coroot_columns(type_id, [i])
         meet = full[:, i] != 0
         assert same_coroots(sub, sub_heights, full[meet][:, [i]], heights[meet]), (type_id, i)
+
+
+def rises_then_falls(row):
+    """True iff d_j >= min(d_i, d_k) whenever i < j < k: the row does not
+    fall before its first maximum nor rise after it."""
+    top = row.index(max(row))
+    return (all(a <= b for a, b in zip(row[:top], row[1:top + 1]))
+            and all(a >= b for a, b in zip(row[top:], row[top + 1:])))
+
+
+def test_fundamental_dimensions_rise_then_fall():
+    # irreps._active_columns walks in from both ends, which finds every
+    # column that fits a bound only on rows of this shape.
+    for fam in "ABCD":
+        for m in range(_RANK_RULES[fam][0], 1001):
+            assert rises_then_falls(_classical_forms(fam, m)[1]), (fam, m)
+    for t in (LieType("E", 6), LieType("E", 7), LieType("E", 8), LieType("F", 4),
+              LieType("G", 2)):
+        assert rises_then_falls(list(build_root_datum(t).fund_dims)), t
+
+
+def test_column_reads_match_rows():
+    # The A-D records evaluate the closed forms one column at a time; the
+    # rows that build_root_datum checks come from the same forms by a
+    # recurrence.
+    for fam in "ABCD":
+        for m in range(_RANK_RULES[fam][0], 401):
+            datum = build_root_datum(LieType(fam, m))
+            two_rho, dims = _classical_forms(fam, m)
+            assert list(datum.two_rho_check) == two_rho, (fam, m)
+            assert list(datum.fund_dims) == dims, (fam, m)
+    datum, dims = build_root_datum(LieType("D", 9)), tuple(_classical_forms("D", 9)[1])
+    assert len(datum.fund_dims) == 9 and datum.fund_dims[-1] == dims[-1]
+    assert datum.fund_dims[1:8:3] == dims[1:8:3] and datum.fund_dims[::-1] == dims[::-1]
+    for c in (9, -10):
+        with pytest.raises(IndexError):
+            datum.fund_dims[c]
+
+
+def test_records_keep_no_rank_length_rows():
+    # Every record of a scan at n = 796: the A-D rows are checked and then
+    # dropped, so the records keep about 0.8 kB per type (the D_m, m odd,
+    # permutation aside); with their rows they kept about 85 MB.
+    types = default_scan_types(796)
+    build_root_datum.cache_clear()
+    tracemalloc.start()
+    try:
+        for t in types:
+            build_root_datum(t)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        build_root_datum.cache_clear()
+    assert kept < 2_000_000, kept
 
 
 @pytest.mark.parametrize(
@@ -260,7 +318,7 @@ def test_closed_forms_match_closure(type_id):
     ids=str,
 )
 def test_diagram_automorphism(type_id, perm):
-    assert build_root_datum(type_id).dynkin_symmetry == perm
+    assert tuple(build_root_datum(type_id).dynkin_symmetry) == perm
 
 
 def lowest_weight_by_orbit(cartan: np.ndarray, weight: tuple[int, ...]) -> tuple[int, ...]:

@@ -310,12 +310,17 @@ class TestIndicatorOnActiveColumns:
     def test_active_columns_match_scan(self, family):
         # Oracle: every column whose fundamental dimension fits, by a full
         # scan; each bound next to a dimension, so ties (A's C(m+1, k) =
-        # C(m+1, m+1-k), D's half-spin fork) are met on both sides.
+        # C(m+1, m+1-k), D's half-spin fork) are met on both sides.  Ranks
+        # as large as the scans at n = 292 and 796 reach (and D399, an odd
+        # fork) are met next to their first and last three dimensions.
         lo, hi = FAMILY_RANKS[family]
-        for m in range(lo, hi + 1):
+        large = {"A": (291, 795), "B": (398,), "C": (398,), "D": (398, 399)}.get(family, ())
+        for m in (*range(lo, hi + 1), *large):
             datum = build_root_datum(LieType(family, m))
-            for bound in {b for d in datum.fund_dims for b in (d - 1, d, d + 1)}:
-                want = tuple(c for c, d in enumerate(datum.fund_dims) if d <= bound)
+            dims = list(datum.fund_dims)
+            near = dims if m <= hi else dims[:3] + dims[-3:]
+            for bound in {b for d in near for b in (d - 1, d, d + 1)}:
+                want = tuple(c for c, d in enumerate(dims) if d <= bound)
                 assert _active_columns(datum, bound) == want, (family, m, bound)
 
     @settings(max_examples=300, deadline=None)
