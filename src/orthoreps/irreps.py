@@ -28,10 +28,9 @@ import numpy as np
 
 from .arith import is_prime
 from .root_data import LieType, RootDatum, build_root_datum, coroot_columns
-from .weights import as_weight, dim_from_pairings, indicator, weyl_dimension
+from .weights import as_weight, dim_from_pairings, indicator
 
-# Dimensions are generic for characteristics above this floor; see the
-# exceptions file for the ingested non-generic corrections.
+# The least min_char of a module or a report; exception records can raise it.
 GENERIC_CHAR_FLOOR = 20
 
 
@@ -77,7 +76,18 @@ class ExceptionRecord:
 
     L(weight) is the simple quotient of the Weyl module V(weight) (Jantzen,
     RAGS II.2), so a record must lower the generic dimension; one that
-    equals it corrects nothing.  ell must be prime.
+    equals it corrects nothing.  ell must be prime, and below <lambda + rho,
+    theta^vee>: at or above it L = V (RAGS II.5.6, the bottom alcove).
+
+    Lemma: for dominant lambda != 0, dim V(lambda) >= <lambda + rho, theta^vee>.
+    The positive coroots form a root poset graded by height (for beta < beta'
+    and delta = beta' - beta, (delta, delta) > 0 gives a simple alpha in delta
+    with (delta, alpha) > 0, so beta' - alpha or beta + alpha lies between).
+    So for lambda_j >= 1 a chain alpha_j^vee = gamma_1 < ... < gamma_H =
+    theta^vee (the highest coroot) has <rho, gamma_k> = k, along which
+    <lambda, gamma_k> >= 1 rises to A = <lambda, theta^vee>.  Every Weyl factor
+    is >= 1, and the chain's give at least prod_{k<H} (k + 1)/k * (A + H)/H =
+    A + H.  So a record lifts a module's min_char to at most ell + 1 <= dim.
     """
 
     type_id: LieType
@@ -91,11 +101,17 @@ class ExceptionRecord:
             raise ValueError(f"ell={self.ell} is not prime")
         if self.corrected_dim < 1:
             raise ValueError("corrected dimension must be positive")
-        generic = weyl_dimension(build_root_datum(self.type_id), self.weight)
+        support = [i for i, a in enumerate(self.weight) if a]
+        sub, heights = coroot_columns(self.type_id, support)  # theta^vee is among them
+        pairings = sub @ np.asarray([self.weight[i] for i in support], dtype=np.int64)
+        generic = dim_from_pairings(heights, pairings)
         if self.corrected_dim >= generic:
             how = "exceeds" if self.corrected_dim > generic else "equals"
             raise ValueError(f"corrected dimension {self.corrected_dim} {how} the generic "
                              f"dimension {generic} of {self.type_id} weight {list(self.weight)}")
+        if (top := int((heights + pairings).max())) <= self.ell:  # <lambda+rho, theta^vee>
+            raise ValueError(f"{self.type_id} weight {list(self.weight)} has <lambda+rho, "
+                             f"theta^vee> = {top} <= ell={self.ell}, so L = V there")
 
 
 def _active_columns(datum: RootDatum, bound: int) -> tuple[int, ...]:
@@ -153,11 +169,8 @@ def _search_weights(datum: RootDatum, cols: tuple[int, ...],
 
 
 def _min_char(weight: tuple[int, ...], cols: Sequence[int], matching_ells: Iterable[int]) -> int:
-    floor = max(GENERIC_CHAR_FLOOR, 1 + max((weight[c] for c in cols), default=0))
-    for ell in matching_ells:
-        if ell >= GENERIC_CHAR_FLOOR:
-            floor = max(floor, ell + 1)
-    return floor
+    raised = (ell + 1 for ell in matching_ells if ell >= GENERIC_CHAR_FLOOR)
+    return max(GENERIC_CHAR_FLOOR, 1 + max((weight[c] for c in cols), default=0), *raised)
 
 
 def enumerate_restricted(

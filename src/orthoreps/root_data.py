@@ -24,6 +24,7 @@ vector of alpha_j in the fundamental-weight basis.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,6 +43,14 @@ _RANK_RULES = {
 }
 
 
+def as_int(value: int, what: str) -> int:
+    """value as a Python int; an integer type (Python or numpy) is required, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True, order=True)
 class LieType:
     """A simple Lie type: family letter plus rank."""
@@ -54,8 +63,7 @@ class LieType:
         if rule is None:
             raise ValueError(f"unknown family {self.family!r}; expected one of A..G")
         lo, hi = rule
-        if not isinstance(self.rank, int):
-            raise ValueError(f"rank must be an integer, got {self.rank!r}")
+        object.__setattr__(self, "rank", as_int(self.rank, "rank"))
         if self.rank < lo or (hi is not None and self.rank > hi):
             span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
             raise ValueError(f"family {self.family} needs rank {span}, got {self.rank}")

@@ -232,21 +232,6 @@ def _exception_products(
     ]
 
 
-def _exclusion(tc: TensorCandidate, floor: int) -> tuple[str, str] | None:
-    """The rule and note detail that drop a product from a scan fixed at floor, or None.
-
-    A product from an exception record is valid at its record's
-    characteristic, so only the self-duality rule applies to it.
-    """
-    if not tc.self_dual:
-        ell = tc.non_generic_ell
-        source = "e.g." if ell is None else f"exception record at ell={ell},"
-        return "non-self-dual", f"{source} weight {list(tc.factors[0].weight)}"
-    if tc.non_generic_ell is None and tc.min_char > floor:
-        return "characteristic-floor", f"needs characteristic >= {tc.min_char}, scan fixed {floor}"
-    return None
-
-
 def _compress_ranks(ranks: list[int]) -> str:
     runs = []
     start = prev = ranks[0]
@@ -272,11 +257,13 @@ def classify_orthogonal(
     (dimensions are generic there); it defaults to max(GENERIC_CHAR_FLOOR,
     n + 1), must be at least GENERIC_CHAR_FLOOR and must exceed n: at some
     ell <= n a module whose generic dimension exceeds n can have dimension
-    n, and the scan never reaches it.  The scan covers every
-    type whose natural module fits in dimension n, assembles tensor
-    candidates per factorization of n, drops non-self-dual products, and
-    splits the rest by indicator.  Every dropped branch is recorded in the
-    exclusion notes.
+    n, and the scan never reaches it.  Above n every listed generic factor
+    has <lambda + rho, theta^vee> <= dim <= n (the lemma in ExceptionRecord),
+    so L = V at every ell >= min_char; a product from an exception record
+    holds at its record's ell.  The scan covers every type whose natural
+    module fits in dimension n, assembles tensor candidates per factorization
+    of n, drops non-self-dual products, and splits the rest by indicator.
+    Every dropped branch is recorded in the exclusion notes.
     """
     return _classify(n, min_char, mode, exceptions,
                      lambda type_id: _factors_by_dim(type_id, n, exceptions))
@@ -332,13 +319,14 @@ def _classify(
         for rule, fact, detail, count in events:
             tally((rule, t.family, fact, detail), (t.rank,), count)
         for tc in products + _exception_products(t, n, exceptions):
-            dropped = _exclusion(tc, min_char)
-            if dropped is None:
+            if tc.self_dual:
                 (orthogonal if tc.fs == 1 else symplectic).append(tc)
-            else:
-                rule, detail = dropped
-                fact = tuple(sorted(f.dim for f in tc.factors))
-                tally((rule, t.family, fact, detail), (t.rank,), 1)
+                continue
+            ell = tc.non_generic_ell
+            source = "e.g." if ell is None else f"exception record at ell={ell},"
+            detail = f"{source} weight {list(tc.factors[0].weight)}"
+            tally(("non-self-dual", t.family, tuple(sorted(f.dim for f in tc.factors)), detail),
+                  (t.rank,), 1)
     for (family, have), ranks in groups.items():
         for fact, detail in split(have)[1]:
             tally(("missing-factor-dimension", family, fact, detail), ranks, len(ranks))

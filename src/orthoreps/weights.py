@@ -6,12 +6,11 @@ of rational factors over the positive coroots and asserted to be integral.
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 import numpy as np
 
-from .root_data import LieType, RootDatum, build_root_datum, coroot_columns
+from .root_data import LieType, RootDatum, as_int, build_root_datum, coroot_columns
 
 # Cap keeps the int64 pairing mat-vec exact; far above any realistic weight.
 _COEFF_LIMIT = 1 << 40
@@ -22,17 +21,9 @@ _DENSE_LIMIT = 1 << 16
 Weight = tuple[int, ...]
 
 
-def _coefficient(a: int) -> int:
-    """a as a Python int; an integer type (Python or numpy) is required, not truncated."""
-    try:
-        return operator.index(a)
-    except TypeError:
-        raise ValueError(f"weight coefficient {a!r} is not an integer") from None
-
-
 def as_weight(weight: Sequence[int], rank: int) -> Weight:
     """Validate and normalize a dominant weight given in fundamental coordinates."""
-    w = tuple(map(_coefficient, weight))
+    w = tuple(as_int(a, "weight coefficient") for a in weight)
     if len(w) != rank:
         raise ValueError(f"weight length {len(w)} does not match rank {rank}")
     if any(a < 0 for a in w):

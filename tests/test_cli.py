@@ -328,13 +328,23 @@ class TestEnumerateCommand:
 
     def test_exceptions_file(self, capsys, tmp_path):
         path = tmp_path / "exc.csv"
-        path.write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",23,71\n')
+        path.write_text('family,rank,weight,ell,dim\nB,2,"[10,1]",23,71\n')
         code, out, _ = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
-                              "--bound", "100", "--exceptions", str(path))
+                              "--bound", "1200", "--exceptions", str(path))
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
-        target = [r for r in rows if r["weight"] == [2, 2]]
+        target = [r for r in rows if r["weight"] == [10, 1]]
         assert target and target[0]["min_char"] == 24
+
+    def test_bottom_alcove_record_names_its_line(self, capsys, tmp_path):
+        # L(2, 2) = V(2, 2) at ell = 23 (<lambda + rho, theta^vee> = 9), so
+        # the row corrects nothing.
+        path = tmp_path / "exc.csv"
+        path.write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",23,71\n')
+        code, out, err = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
+                                "--bound", "100", "--exceptions", str(path))
+        assert (code, out) == (1, "")
+        assert "line 2: B2 weight [2, 2] has <lambda+rho, theta^vee> = 9 <= ell=23" in err
 
     def test_table_format(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",

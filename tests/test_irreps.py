@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoreps import irreps, weights
+from orthoreps.arith import is_prime
 from orthoreps.cli import run
 from orthoreps.irreps import (
     ExceptionRecord,
@@ -17,9 +20,12 @@ from orthoreps.irreps import (
     enumerate_restricted,
     load_exceptions,
 )
-from orthoreps.root_data import LieType, build_root_datum, coroot_columns
+from orthoreps.root_data import LieType, _cartan_matrix, build_root_datum, coroot_columns
 from orthoreps.steinberg import classify_orthogonal
 from orthoreps.weights import weyl_dimension
+
+from lie_strategies import FAMILY_RANKS
+from test_weights import positive_roots
 
 A1 = LieType("A", 1)
 
@@ -312,7 +318,7 @@ class TestCandidatesOfDimension:
 
 EXC_HEADER = "family,rank,weight,ell,dim"
 B2_22 = ExceptionRecord(LieType("B", 2), (2, 2), 7, 71)
-B2_32 = ExceptionRecord(LieType("B", 2), (3, 2), 11, 61)
+B2_32 = ExceptionRecord(LieType("B", 2), (3, 2), 7, 61)
 CRLF_TEXT = f"{EXC_HEADER}\r\nB,2,[2,2],7,71\r\n"
 
 
@@ -323,16 +329,16 @@ def _write(path, data: bytes):
 
 @pytest.mark.parametrize("make_source,expected", [
     (lambda tmp: [EXC_HEADER, 'B,2,"[2,2]",7,71'], (B2_22,)),
-    (lambda tmp: [EXC_HEADER, "B,2,[3,2],11,61"], (B2_32,)),
-    (lambda tmp: [EXC_HEADER, "B, 2, [2, 2], 7, 71", "B, 2, [3,2] ,11 , 61 "], (B2_22, B2_32)),
+    (lambda tmp: [EXC_HEADER, "B,2,[3,2],7,61"], (B2_32,)),
+    (lambda tmp: [EXC_HEADER, "B, 2, [2, 2], 7, 71", "B, 2, [3,2] ,7 , 61 "], (B2_22, B2_32)),
     (lambda tmp: ['"family","rank","weight","ell","dim"', '"B","2","[2,2]","7","71"'], (B2_22,)),
-    (lambda tmp: ["", "  ", EXC_HEADER, "", "B,2,[2,2],7,71", "   ", "B,2,[3,2],11,61", ""],
+    (lambda tmp: ["", "  ", EXC_HEADER, "", "B,2,[2,2],7,71", "   ", "B,2,[3,2],7,61", ""],
      (B2_22, B2_32)),
     (lambda tmp: CRLF_TEXT.splitlines(keepends=True), (B2_22,)),
     (lambda tmp: io.StringIO(CRLF_TEXT), (B2_22,)),
-    (lambda tmp: io.StringIO(f"{EXC_HEADER}\nB,2,[3,2],11,61\n"), (B2_32,)),
+    (lambda tmp: io.StringIO(f"{EXC_HEADER}\nB,2,[3,2],7,61\n"), (B2_32,)),
     (lambda tmp: _write(tmp / "exc.csv", CRLF_TEXT.encode()), (B2_22,)),
-    (lambda tmp: str(_write(tmp / "exc.csv", b"family,rank,weight,ell,dim\nB,2,[3,2],11,61")),
+    (lambda tmp: str(_write(tmp / "exc.csv", b"family,rank,weight,ell,dim\nB,2,[3,2],7,61")),
      (B2_32,)),
 ], ids=["quoted", "unquoted", "spaced", "all-quoted", "blank-lines", "crlf-lines",
         "crlf-stream", "stream", "crlf-path", "path-str"])
@@ -355,10 +361,12 @@ def test_loader_accepted_forms(tmp_path, make_source, expected):
     ("B,2,[1,0],7,500",
      "line 3: corrected dimension 500 exceeds the generic dimension 5 of B2 weight [1, 0]"),
     ("B,2,[2,2],7,70", "line 3: duplicate record (first seen on line 2)"),
+    ("B,2,[2,2],23,71",
+     "line 3: B2 weight [2, 2] has <lambda+rho, theta^vee> = 9 <= ell=23, so L = V there"),
     (None, "line 2: bad header 'family,rank,ell,dim'; expected family,rank,weight,ell,dim"),
 ], ids=["few-fields", "empty-fields", "unbracketed", "family", "rank", "non-integer", "negative",
         "weight-length", "ell-not-prime", "dim-zero", "dim-above-generic", "duplicate",
-        "header"])
+        "bottom-alcove", "header"])
 def test_loader_rejections_name_line_and_reason(row, message):
     # The row is line 3, after the header and a valid row; the bad header is
     # line 2, after a blank line.
@@ -374,11 +382,11 @@ class TestExceptions:
         assert load_exceptions(io.StringIO("")) == ()
 
     def test_round_trip(self):
-        rows = [EXC_HEADER, 'B,2,"[2,2]",7,71', "B,2,[3,2],11,61"]
+        rows = [EXC_HEADER, 'B,2,"[2,2]",7,71', "B,2,[3,2],7,61"]
         recs = load_exceptions(rows)
         assert recs == (
             ExceptionRecord(LieType("B", 2), (2, 2), 7, 71),
-            ExceptionRecord(LieType("B", 2), (3, 2), 11, 61),
+            ExceptionRecord(LieType("B", 2), (3, 2), 7, 61),
         )
 
     def test_oversized_dimension_rejected(self):
@@ -410,11 +418,12 @@ class TestExceptions:
             load_exceptions(["family,rank,ell,dim", "B,2,7,71"])
 
     def test_exception_raises_min_char(self):
-        # a record at ell >= 20 moves the trust floor above that ell
-        recs = load_exceptions([EXC_HEADER, "B,2,[2,2],23,71"])
-        cands = enumerate_restricted(LieType("B", 2), 100, recs)
+        # a record at ell >= 20 moves the trust floor above that ell; L(10, 1)
+        # is 1144-dimensional, with <lambda + rho, theta^vee> = 24 > 23
+        recs = load_exceptions([EXC_HEADER, "B,2,[10,1],23,71"])
+        cands = enumerate_restricted(LieType("B", 2), 1200, recs)
         by_weight = {c.weight: c for c in cands}
-        assert by_weight[(2, 2)].min_char == 24
+        assert by_weight[(10, 1)].min_char == 24
         assert by_weight[(1, 1)].min_char == 20
 
     def test_record_must_lower_the_generic_dimension(self):
@@ -435,3 +444,47 @@ class TestExceptions:
         cands = enumerate_restricted(LieType("B", 2), 100, recs)
         by_weight = {c.weight: c for c in cands}
         assert by_weight[(2, 2)].min_char == 20
+
+
+def highest_coroot(type_id):
+    """theta^vee in the simple-coroot basis, so <lambda + rho, theta^vee> = sum c_i (lambda_i + 1).
+
+    The classical rows are written out; for E, F and G it is the highest
+    root of the coroot system, whose Cartan matrix is the transpose.
+    """
+    fam, m = type_id.family, type_id.rank
+    if fam in "ABCD":
+        return {"A": (1,) * m, "B": (2,) * (m - 1) + (1,), "C": (1,) + (2,) * (m - 1),
+                "D": (1,) + (2,) * (m - 3) + (1, 1)}[fam]
+    return max(positive_roots(_cartan_matrix(fam, m).T.tolist()), key=sum)
+
+
+def alcove_value(type_id, weight):
+    return sum(c * (a + 1) for c, a in zip(highest_coroot(type_id), weight))
+
+
+@pytest.mark.parametrize("n", [68, 292])
+def test_weyl_dimension_bounds_alcove_value(n):
+    # The lemma in ExceptionRecord: dim V(lambda) >= <lambda + rho, theta^vee>
+    # for lambda != 0, on every module a report of dimension n can list.
+    for t in default_scan_types(n):
+        for cand in enumerate_restricted(t, n):
+            if any(cand.weight):
+                assert alcove_value(t, cand.weight) <= cand.dim, (t, cand.weight)
+
+
+SMALL_RANK_TYPES = [LieType(fam, m) for fam, (lo, hi) in sorted(FAMILY_RANKS.items())
+                    for m in range(lo, min(hi, 8) + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_RANK_TYPES), st.sampled_from([p for p in range(100) if is_prime(p)]),
+       st.data())
+def test_record_accepted_iff_above_bottom_alcove(type_id, ell, data):
+    weight = data.draw(st.lists(st.integers(0, 5), min_size=type_id.rank,
+                                max_size=type_id.rank).filter(any))
+    if alcove_value(type_id, weight) > ell:
+        ExceptionRecord(type_id, weight, ell, 1)
+    else:
+        with pytest.raises(ValueError, match=r"theta\^vee> = \d+ <= ell"):
+            ExceptionRecord(type_id, weight, ell, 1)

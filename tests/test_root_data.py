@@ -395,11 +395,20 @@ def test_epsilon_and_triality():
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("F", 5), ("G", 3), ("H", 2)],
+    [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("F", 5), ("G", 3), ("H", 2),
+     ("A", 2.0), ("A", "3")],
 )
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(ValueError):
         LieType(family, rank)
+
+
+def test_integer_typed_ranks_stored_as_int():
+    # A bool or numpy rank is an integer type: it is kept as the int it stands for.
+    for rank, expected in ((True, 1), (np.int64(3), 3)):
+        t = LieType("A", rank)
+        assert t == LieType("A", expected) and hash(t) == hash(LieType("A", expected))
+        assert type(t.rank) is int and str(t) == f"A{expected}"
 
 
 def test_datum_arrays_immutable():

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoreps import steinberg
-from orthoreps.arith import is_prime
 from orthoreps.irreps import (
     GENERIC_CHAR_FLOOR,
     ExceptionRecord,
@@ -179,12 +177,12 @@ class TestClassify:
 
     def test_exception_candidates_flagged(self):
         recs = load_exceptions(
-            ["family,rank,weight,ell,dim", "B,2,[3,1],23,60"]
+            ["family,rank,weight,ell,dim", "B,2,[3,1],7,60"]
         )
         report = classify_orthogonal(60, min_char=61, exceptions=recs)
         tagged = [tc for tc in report.orthogonal + report.symplectic if tc.non_generic_ell is not None]
         assert len(tagged) == 1
-        assert tagged[0].non_generic_ell == 23
+        assert tagged[0].non_generic_ell == 7
         assert tagged[0].dim == 60
         assert str(tagged[0].type_id) == "B2"
 
@@ -303,9 +301,6 @@ def _oracle_filter(type_id, products, n, min_char, exceptions):
         if not all(f.self_dual for f in tc.factors):
             non_self_dual += 1
             events.append(("non-self-dual", fact, f"e.g. weight {list(tc.factors[0].weight)}", 1))
-        elif tc.min_char > min_char:
-            events.append(("characteristic-floor", fact,
-                           f"needs characteristic >= {tc.min_char}, scan fixed {min_char}", 1))
         else:
             kept.append(tc)
     for rec in exceptions:
@@ -360,15 +355,10 @@ def oracle_classify(n, min_char, mode, exceptions, factors_of):
 def test_notes_per_divisor_signature_match_oracle(n, mode, offset, with_exceptions):
     # min_char is the default or a little above n.  Records: one self-dual
     # (B2) and one that is not (A2), both of dimension n (their generic
-    # dimensions are 640 and 300); and A1's n-dimensional L((n - 1,)) at the
-    # least prime ell >= min_char, which raises that factor's min_char to
-    # ell + 1, so the characteristic-floor rule drops it.
+    # dimensions are 640 and 300).
     min_char = None if offset is None else max(GENERIC_CHAR_FLOOR, n + 1 + offset)
-    floor = max(GENERIC_CHAR_FLOOR, n + 1) if min_char is None else min_char
-    ell = next(p for p in itertools.count(floor) if is_prime(p))
-    exceptions = (ExceptionRecord(LieType("B", 2), (5, 3), 23, n),
-                  ExceptionRecord(LieType("A", 2), (23, 0), 3, n),
-                  ExceptionRecord(A1, (n - 1,), ell, 1)) if with_exceptions else ()
+    exceptions = (ExceptionRecord(LieType("B", 2), (5, 3), 13, n),
+                  ExceptionRecord(LieType("A", 2), (23, 0), 3, n)) if with_exceptions else ()
     report = classify_orthogonal(n, min_char, mode, exceptions)
     oracle = oracle_classify(n, min_char, mode, exceptions,
                              lambda t: steinberg._factors_by_dim(t, n, exceptions))
