@@ -231,8 +231,11 @@ def projective_order(rep: MonomialRep, which: str) -> int:
     of m, the lcm of sigma's cycle lengths.  g^m is diagonal: on each cycle C
     it is the product of C's coefficients to the power m/|C|.  g^(m k) is
     scalar iff every ratio of those values has k-th power 1; the least such k
-    divides lambda - 1 and is found by descending over its prime divisors,
-    p and those of the cofactor (lambda - 1)/p^a.  p - 1 is never factored.
+    divides lambda - 1 and is found by descending over its prime divisors.
+    When the p-part p^a of lambda - 1 already serves as k, as it does in a
+    built model (every coefficient is a power of zeta), the descent is from
+    p^a over p alone and nothing is factored; otherwise it is from lambda - 1
+    over p and the primes of the cofactor (lambda - 1)/p^a.
     """
     lam, p = rep.params.lam, rep.params.p
     sigma, coeffs = getattr(rep, which)
@@ -251,10 +254,11 @@ def projective_order(rep: MonomialRep, which: str) -> int:
     ratios = {v * first % lam for v in values} - {1}
     if not ratios:
         return m
-    cofactor = lam - 1
+    cofactor = k = lam - 1
     while cofactor % p == 0:
         cofactor //= p
-    k = lam - 1
+    if all(pow(r, k // cofactor, lam) == 1 for r in ratios):
+        k, cofactor = k // cofactor, 1
     for q in {p, *factorize(cofactor)}:
         while k % q == 0 and all(pow(r, k // q, lam) == 1 for r in ratios):
             k //= q

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import is_prime
 from .root_data import LieType, RootDatum, build_root_datum, coroot_columns
-from .weights import as_weight, dim_from_pairings, indicator
+from .weights import as_weight, coroot_pairings, dim_from_pairings, indicator
 
 # The least min_char of a module or a report; exception records can raise it.
 GENERIC_CHAR_FLOOR = 20
@@ -42,12 +42,15 @@ class IrrepCandidate:
     weight: tuple[int, ...]
     dim: int
     fs: int  # +1 orthogonal, -1 symplectic, 0 not self-dual
-    epsilon: int
     min_char: int
 
     @property
     def self_dual(self) -> bool:
         return self.fs != 0
+
+    @property
+    def epsilon(self) -> int:
+        return self.type_id.epsilon
 
     @classmethod
     def of(cls, datum: RootDatum, weight: tuple[int, ...], dim: int, cols: Sequence[int],
@@ -64,7 +67,6 @@ class IrrepCandidate:
             weight=weight,
             dim=dim,
             fs=indicator(datum, weight, cols),
-            epsilon=datum.epsilon,
             min_char=_min_char(weight, cols, matching_ells),
         )
 
@@ -101,9 +103,7 @@ class ExceptionRecord:
             raise ValueError(f"ell={self.ell} is not prime")
         if self.corrected_dim < 1:
             raise ValueError("corrected dimension must be positive")
-        support = [i for i, a in enumerate(self.weight) if a]
-        sub, heights = coroot_columns(self.type_id, support)  # theta^vee is among them
-        pairings = sub @ np.asarray([self.weight[i] for i in support], dtype=np.int64)
+        heights, pairings = coroot_pairings(self.type_id, self.weight)  # theta^vee is among them
         generic = dim_from_pairings(heights, pairings)
         if self.corrected_dim >= generic:
             how = "exceeds" if self.corrected_dim > generic else "equals"

@@ -15,7 +15,9 @@ root-string criterion (beta + alpha_k is a coroot iff the string of beta
 through alpha_k descends further than the Cartan pairing allows).
 
 Every reader only sums or counts the coroots, so they come in no set
-order.  Simple roots are numbered in the Bourbaki convention throughout.
+order.  Weyl dimensions are evaluated here, once, by dim_from_pairings: a
+product of rational factors over the positive coroots, asserted to be
+integral.  Simple roots are numbered in the Bourbaki convention throughout.
 The Cartan matrix has entry ``cartan[i][j] = <alpha_j, alpha_i^vee>`` (row
 = coroot index, column = root index), so the j-th column is the coordinate
 vector of alpha_j in the fundamental-weight basis.
@@ -41,6 +43,9 @@ _RANK_RULES = {
     "F": (4, 4),
     "G": (2, 2),
 }
+# Above this largest h + s, dim_from_pairings counts the distinct values
+# rather than bincounting every value from 0 up.
+_DENSE_LIMIT = 1 << 16
 
 
 def as_int(value: int, what: str) -> int:
@@ -71,6 +76,12 @@ class LieType:
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
+    @property
+    def epsilon(self) -> int:
+        """Order of the diagram symmetry available for twisting (1 or 2)."""
+        fam, m = self.family, self.rank
+        return 2 if (fam == "A" and m >= 2) or fam == "D" or (fam == "E" and m == 6) else 1
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class RootDatum:
@@ -93,7 +104,6 @@ class RootDatum:
     two_rho_check: Sequence[int]
     fund_dims: Sequence[int]
     dynkin_symmetry: Sequence[int]
-    epsilon: int
 
 
 def positive_coroot_count(type_id: LieType) -> int:
@@ -127,14 +137,6 @@ def _diagram_symmetry(type_id: LieType) -> Sequence[int]:
     if fam == "E" and m == 6:
         return (5, 1, 4, 3, 2, 0)
     return range(m)
-
-
-def _epsilon(type_id: LieType) -> int:
-    """Order of the diagram symmetry available for twisting (1 or 2)."""
-    fam, m = type_id.family, type_id.rank
-    if (fam == "A" and m >= 2) or fam == "D" or (fam == "E" and m == 6):
-        return 2
-    return 1
 
 
 def _cartan_matrix(family: str, rank: int) -> np.ndarray:
@@ -291,6 +293,43 @@ def coroot_columns(type_id: LieType, cols: Sequence[int]) -> tuple[np.ndarray, n
     return sub, heights
 
 
+def dim_from_pairings(heights: np.ndarray, pairings: np.ndarray) -> int:
+    """Exact dimension from <rho, a^vee> and <lambda, a^vee> over positive coroots.
+
+    The dimension is the product of (h + s) / h over the coroots pairing
+    nonzero with lambda (s >= 0, as lambda is dominant).  Equal factors above
+    and below cancel first: e[v] counts v among the h + s less v among the h,
+    so only the v with e[v] != 0 are multiplied out.  The final division is
+    checked to be exact.  The counts take O(_DENSE_LIMIT + pairings) memory
+    whatever the size of the coefficients.
+    """
+    nz = pairings.nonzero()[0]
+    if nz.size == 0:
+        return 1
+    hs = heights[nz]
+    tops = hs + pairings[nz]
+    top = int(tops.max())  # the largest of all the values: s >= 0
+    if top < _DENSE_LIMIT:
+        e = np.bincount(tops) - np.bincount(hs, minlength=top + 1)
+        vs = vals = e.nonzero()[0]
+    else:
+        uniq, idx = np.unique(np.concatenate((tops, hs)), return_inverse=True)
+        k = nz.size
+        e = np.bincount(idx[:k], minlength=uniq.size) - np.bincount(idx[k:], minlength=uniq.size)
+        vs = e.nonzero()[0]
+        vals = uniq[vs]
+    numer = denom = 1
+    for v, k in zip(vals.tolist(), e[vs].tolist()):
+        if k > 0:
+            numer *= v**k
+        else:
+            denom *= v**-k
+    dim, rem = divmod(numer, denom)
+    if rem:
+        raise ArithmeticError("Weyl dimension product is not integral; root data corrupt")
+    return dim
+
+
 def _binomials(n: int, top: int) -> list[int]:
     """C(n, 0), ..., C(n, top), by the multiplicative recurrence."""
     row = [1]
@@ -385,17 +424,7 @@ def build_root_datum(type_id: LieType) -> RootDatum:
     else:
         mat, heights = _closure_coroots(type_id)
         two_rho = tuple(mat.sum(axis=0).tolist())
-        dims = []
-        for k in range(m):  # Weyl's formula for omega_k
-            nz = mat[:, k].nonzero()[0]
-            dims.append(math.prod((heights[nz] + mat[nz, k]).tolist())
-                        // math.prod(heights[nz].tolist()))
-        fund_dims = tuple(dims)
+        dims = fund_dims = tuple(dim_from_pairings(heights, mat[:, k]) for k in range(m))
     _validate_symmetry(type_id, perm, dims)
-    return RootDatum(
-        type_id=type_id,
-        two_rho_check=two_rho,
-        fund_dims=fund_dims,
-        dynkin_symmetry=perm,
-        epsilon=_epsilon(type_id),
-    )
+    return RootDatum(type_id=type_id, two_rho_check=two_rho, fund_dims=fund_dims,
+                     dynkin_symmetry=perm)

@@ -369,8 +369,7 @@ def verify_theorem1(pi: int) -> Theorem1Evidence:
     side and every exclusion applied.
     """
     _check_theorem1_prime(pi)
-    n = 4 * pi
-    return _evidence(pi, classify_orthogonal(n, min_char=n + 1, mode=MODE_ORBIT))
+    return _evidence(pi, classify_orthogonal(4 * pi, mode=MODE_ORBIT))
 
 
 def _check_theorem1_prime(pi: int) -> None:
@@ -415,7 +414,7 @@ def theorem1_sweep(pis: Iterable[int] | None = None) -> list[Theorem1Evidence]:
         return []
     bound = 4 * pis[-1]
     factors_of = functools.cache(lambda type_id: _factors_by_dim(type_id, bound, ()))
-    return [_evidence(pi, _classify(4 * pi, 4 * pi + 1, MODE_ORBIT, (), factors_of))
+    return [_evidence(pi, _classify(4 * pi, None, MODE_ORBIT, (), factors_of))
             for pi in pis]
 
 

@@ -1,7 +1,7 @@
 """Dominant-weight arithmetic: dimensions, duality, indicators.
 
-All computations are exact.  The Weyl dimension is evaluated as a product
-of rational factors over the positive coroots and asserted to be integral.
+All computations are exact.  Weyl dimensions come from
+root_data.dim_from_pairings, on the pairings coroot_pairings builds.
 """
 
 from __future__ import annotations
@@ -10,13 +10,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .root_data import LieType, RootDatum, as_int, build_root_datum, coroot_columns
+from .root_data import (LieType, RootDatum, as_int, build_root_datum, coroot_columns,
+                        dim_from_pairings)
 
 # Cap keeps the int64 pairing mat-vec exact; far above any realistic weight.
 _COEFF_LIMIT = 1 << 40
-# Above this largest h + s, dim_from_pairings counts the distinct values
-# rather than bincounting every value from 0 up.
-_DENSE_LIMIT = 1 << 16
 
 Weight = tuple[int, ...]
 
@@ -33,52 +31,21 @@ def as_weight(weight: Sequence[int], rank: int) -> Weight:
     return w
 
 
-def dim_from_pairings(heights: np.ndarray, pairings: np.ndarray) -> int:
-    """Exact dimension from <rho, a^vee> and <lambda, a^vee> over positive coroots.
+def coroot_pairings(type_id: LieType, weight: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(<rho, a^vee>, <lambda, a^vee>) over the coroots a^vee that meet lambda's support.
 
-    The dimension is the product of (h + s) / h over the coroots pairing
-    nonzero with lambda (s >= 0, as lambda is dominant).  Equal factors above
-    and below cancel first: e[v] counts v among the h + s less v among the h,
-    so only the v with e[v] != 0 are multiplied out.  The final division is
-    checked to be exact.  The counts take O(_DENSE_LIMIT + pairings) memory
-    whatever the size of the coefficients.
+    Those coroots are the only ones whose Weyl factor differs from 1; the
+    highest coroot is among them unless lambda is 0.
     """
-    nz = pairings.nonzero()[0]
-    if nz.size == 0:
-        return 1
-    hs = heights[nz]
-    tops = hs + pairings[nz]
-    top = int(tops.max())  # the largest of all the values: s >= 0
-    if top < _DENSE_LIMIT:
-        e = np.bincount(tops) - np.bincount(hs, minlength=top + 1)
-        vs = vals = e.nonzero()[0]
-    else:
-        uniq, idx = np.unique(np.concatenate((tops, hs)), return_inverse=True)
-        k = nz.size
-        e = np.bincount(idx[:k], minlength=uniq.size) - np.bincount(idx[k:], minlength=uniq.size)
-        vs = e.nonzero()[0]
-        vals = uniq[vs]
-    numer = denom = 1
-    for v, k in zip(vals.tolist(), e[vs].tolist()):
-        if k > 0:
-            numer *= v**k
-        else:
-            denom *= v**-k
-    dim, rem = divmod(numer, denom)
-    if rem:
-        raise ArithmeticError("Weyl dimension product is not integral; root data corrupt")
-    return dim
+    w = as_weight(weight, type_id.rank)
+    support = [i for i, a in enumerate(w) if a]
+    sub, heights = coroot_columns(type_id, support)
+    return heights, sub @ np.asarray([w[i] for i in support], dtype=np.int64)
 
 
 def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
-    """Dimension of the highest-weight module with the given dominant weight.
-
-    Only the coroots that meet the weight's support enter the product.
-    """
-    w = as_weight(weight, datum.type_id.rank)
-    support = [i for i, a in enumerate(w) if a]
-    sub, heights = coroot_columns(datum.type_id, support)
-    return dim_from_pairings(heights, sub @ np.asarray([w[i] for i in support], dtype=np.int64))
+    """Dimension of the highest-weight module with the given dominant weight."""
+    return dim_from_pairings(*coroot_pairings(datum.type_id, weight))
 
 
 def minus_w0(type_id: LieType, weight: Sequence[int]) -> Weight:

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoreps.arith import is_prime, multiplicative_order
+from orthoreps import induced
+from orthoreps.arith import factorize, is_prime, multiplicative_order
 from orthoreps.induced import (
     MonomialRep,
     TameParameters,
@@ -224,6 +226,28 @@ class TestVerification:
         rep = build_induced_rep(3, 2, 2)
         scalars = _with(rep, tau=identity(2, 3))
         assert projective_order(scalars, "tau") == 1
+
+    def test_hard_to_factor_lambda_minus_1_does_not_hang(self, time_limit):
+        # lambda - 1 = 7 * 72 * 2557180180167128445323 * 7115102100608540338999.
+        # Every ratio in a built model is a power of zeta, so the orders need
+        # only the 7-part; factoring (lambda - 1)/7 by Pollard rho did not end.
+        lam = 9170077428056997267987951722322190065050045209
+        with time_limit(5):
+            verdicts = rep_json(build_induced_rep(7, 17, 6, lam))["verdicts"]
+        assert verdicts == {"tame_relation": True, "gram_preserved": True,
+                            "commutant_dimension": 1, "tau_projective_order": 7,
+                            "phi_projective_order": 6}
+
+    def test_ratios_off_the_p_part_still_factor_the_cofactor(self, monkeypatch):
+        # Random coefficients in F_43: their ratios have orders dividing 42, not
+        # 7 alone, so the least k is found over the primes of the cofactor 6.
+        rng = random.Random(0)
+        base = build_induced_rep(7, 3, 6, 43)
+        rep = _with(base, tau=(tuple(range(6)), tuple(rng.randrange(1, 43) for _ in range(6))))
+        seen = []
+        monkeypatch.setattr(induced, "factorize", lambda n: seen.append(n) or factorize(n))
+        assert projective_order(rep, "tau") == dense_projective_order(rep, "tau", 42) == 42
+        assert seen == [6]
 
 
 class TestDenseOracles:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoreps import root_data
 from orthoreps.irreps import default_scan_types
 from orthoreps.root_data import (
     LieType,
@@ -246,6 +247,38 @@ def test_closed_forms_match_closure(type_id):
         assert same_coroots(sub, sub_heights, full[meet][:, [i]], heights[meet]), (type_id, i)
 
 
+# Fundamental dimensions in Bourbaki labels, as published (e.g. Lübeck's tables).
+PUBLISHED_FUND_DIMS = {
+    LieType("E", 6): (27, 78, 351, 2925, 351, 27),
+    LieType("E", 7): (133, 912, 8645, 365750, 27664, 1539, 56),
+    LieType("E", 8): (3875, 147250, 6696000, 6899079264, 146325270, 2450240, 30380, 248),
+    LieType("F", 4): (52, 1274, 273, 26),
+    LieType("G", 2): (7, 14),
+}
+
+
+@pytest.mark.parametrize("type_id", list(PUBLISHED_FUND_DIMS), ids=str)
+def test_exceptional_fundamental_dimensions_published(type_id):
+    # The E-G rows come from the same Weyl evaluator as weyl_dimension, so
+    # test_closed_forms_match_closure cannot catch an error they share.
+    assert tuple(build_root_datum(type_id).fund_dims) == PUBLISHED_FUND_DIMS[type_id]
+
+
+def test_corrupt_closure_raises_not_wrong_row(monkeypatch):
+    # A height of 2 on alpha_1^vee turns omega_1's factor 2/1 into 3/2, so
+    # E6's product for omega_1 becomes 27 * 3/4: not an integer.  alpha_6^vee
+    # gets the same, so the row stays fixed by the diagram symmetry and only
+    # the evaluator can refuse it; a floor division gave the row (20, ..., 20).
+    E6 = LieType("E", 6)
+    mat, heights = root_data._closure_coroots(E6)
+    bad = heights.copy()
+    simple = np.eye(6, dtype=mat.dtype)
+    bad[(mat == simple[0]).all(axis=1) | (mat == simple[5]).all(axis=1)] = 2
+    monkeypatch.setattr(root_data, "_closure_coroots", lambda type_id: (mat, bad))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        build_root_datum.__wrapped__(E6)  # past the cache, which holds the real record
+
+
 def rises_then_falls(row):
     """True iff d_j >= min(d_i, d_k) whenever i < j < k: the row does not
     fall before its first maximum nor rise after it."""
@@ -384,13 +417,13 @@ def test_build_rejects_asymmetric_fundamental_dimensions(monkeypatch):
 
 
 def test_epsilon_and_triality():
-    assert build_root_datum(LieType("A", 1)).epsilon == 1
-    assert build_root_datum(LieType("A", 5)).epsilon == 2
-    assert build_root_datum(LieType("B", 3)).epsilon == 1
-    assert build_root_datum(LieType("D", 6)).epsilon == 2
-    assert build_root_datum(LieType("E", 6)).epsilon == 2
-    assert build_root_datum(LieType("E", 7)).epsilon == 1
-    assert build_root_datum(LieType("D", 4)).epsilon == 2
+    assert LieType("A", 1).epsilon == 1
+    assert LieType("A", 5).epsilon == 2
+    assert LieType("B", 3).epsilon == 1
+    assert LieType("D", 6).epsilon == 2
+    assert LieType("E", 6).epsilon == 2
+    assert LieType("E", 7).epsilon == 1
+    assert LieType("D", 4).epsilon == 2
 
 
 @pytest.mark.parametrize(

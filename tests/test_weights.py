@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoreps.irreps import _active_columns, enumerate_restricted
-from orthoreps.root_data import LieType, _cartan_matrix, build_root_datum, coroot_columns
-from orthoreps.weights import (
+from orthoreps.root_data import (
     _DENSE_LIMIT,
+    LieType,
+    _cartan_matrix,
+    build_root_datum,
+    coroot_columns,
+)
+from orthoreps.weights import (
     as_weight,
     dim_from_pairings,
     fs_indicator,
