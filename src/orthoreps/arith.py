@@ -217,6 +217,8 @@ def find_prime_pairs(
         raise ValueError(f"M must be >= 1, got {M}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if search_limit is not None and search_limit < 1:
+        raise ValueError(f"search limit must be >= 1, got {search_limit}")
     pairs: list[PrimePair] = []
     exhausted = search_limit is not None
     for p in _primes_1_mod_n(n, M, search_limit):

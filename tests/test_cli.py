@@ -140,6 +140,11 @@ class TestPrimesCommand:
         if payload["pairs"]:
             assert int(payload["pairs"][0]["p"]) > 385
 
+    def test_limit_below_one_rejected(self, capsys):
+        code, out, err = invoke(capsys, "primes", "--n", "4", "--M", "2", "--limit", "-5")
+        assert (code, out) == (1, "")
+        assert err == "orthoreps primes: error: search limit must be >= 1, got -5\n"
+
 
 class TestInduceCommand:
     def test_verdicts(self, capsys):
@@ -326,25 +331,13 @@ class TestEnumerateCommand:
         assert [r["dim"] for r in rows] == ["1", "4", "5"]
         assert rows[1]["fs"] == -1
 
-    def test_exceptions_file(self, capsys, tmp_path):
-        path = tmp_path / "exc.csv"
-        path.write_text('family,rank,weight,ell,dim\nB,2,"[10,1]",23,71\n')
-        code, out, _ = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
-                              "--bound", "1200", "--exceptions", str(path))
-        assert code == 0
-        rows = [json.loads(line) for line in out.splitlines()]
-        target = [r for r in rows if r["weight"] == [10, 1]]
-        assert target and target[0]["min_char"] == 24
-
-    def test_bottom_alcove_record_names_its_line(self, capsys, tmp_path):
-        # L(2, 2) = V(2, 2) at ell = 23 (<lambda + rho, theta^vee> = 9), so
-        # the row corrects nothing.
-        path = tmp_path / "exc.csv"
-        path.write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",23,71\n')
+    def test_exceptions_flag_is_gone(self, capsys):
+        # A script that still passes a records file is refused, not given
+        # the generic table as though the file had been read.
         code, out, err = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
-                                "--bound", "100", "--exceptions", str(path))
+                                "--bound", "100", "--exceptions", "f.csv")
         assert (code, out) == (1, "")
-        assert "line 2: B2 weight [2, 2] has <lambda+rho, theta^vee> = 9 <= ell=23" in err
+        assert "error: unrecognized arguments: --exceptions f.csv" in err
 
     def test_table_format(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
@@ -384,8 +377,6 @@ def readme_commands():
 
 def test_readme_examples_run(capsys, monkeypatch, tmp_path):
     commands = readme_commands()
-    assert any("--exceptions exc.csv" in c for c in commands)
-    (tmp_path / "exc.csv").write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",7,71\n')
     monkeypatch.chdir(tmp_path)
     for command in commands:
         argv = shlex.split(command, comments=True)[1:]

@@ -2,18 +2,21 @@
 
 Weyl's formula is evaluated in the epsilon coordinates of Bourbaki's Planches
 I-IV, as a product over positive roots written out here; from the package
-only LieType, default_scan_types and the search under test are read.  The
-coordinates are doubled, x = 2(lambda + rho) and r = 2 rho, so the
-half-integral weights of B and D stay integral.  A root e_i + s e_j
-(s = -1 or +1) then gives the factor (x_i + s x_j) / (r_i + s r_j), and a
-root e_i (B) or 2e_i (C) gives x_i / r_i, written below as s = 0, j = i.
-Every factor is at least 1, so a product stops once it passes the bound.
+only LieType, build_root_datum, default_scan_types and the two functions
+under test, the search and weyl_dimension, are read.  The coordinates are
+doubled, x = 2(lambda + rho) and r = 2 rho, so the half-integral weights of
+B and D stay integral.  A root e_i + s e_j (s = -1 or +1) then gives the
+factor (x_i + s x_j) / (r_i + s r_j), and a root e_i (B) or 2e_i (C) gives
+x_i / r_i, written below as s = 0, j = i.  Every factor is at least 1, so a
+product stops once it passes the bound.
 """
 
 import math
+from collections import Counter
 
 from orthoreps.irreps import default_scan_types, enumerate_restricted
-from orthoreps.root_data import LieType
+from orthoreps.root_data import LieType, build_root_datum
+from orthoreps.weights import weyl_dimension
 
 
 def positive_roots(family, m):
@@ -78,6 +81,22 @@ def dimension_up_to(family, m, roots, a, bound):
     return dim
 
 
+def dimension(family, m, roots, a):
+    """dim V(lambda) from Weyl's product over every positive root, with no cut-off.
+
+    Equal values among the numerators and denominators cancel before anything
+    is multiplied, so a product of some 40,000 factors stays cheap.
+    """
+    rho = doubled_rho(family, m)
+    x = [w + r for w, r in zip(doubled_weight(family, m, a), rho)]
+    surplus = Counter(factor(x, root) for root in roots)
+    surplus.subtract(factor(rho, root) for root in roots)
+    num = math.prod(v**c for v, c in surplus.items() if c > 0)
+    dim, rem = divmod(num, math.prod(v**-c for v, c in surplus.items() if c < 0))
+    assert rem == 0, (family, m, a)
+    return dim
+
+
 def oracle_search(family, m, bound):
     """{weight: dim} over the down-set dim V(lambda) <= bound, one raise at a time.
 
@@ -130,4 +149,22 @@ def test_search_matches_oracle_on_every_classical_type_at_68():
     wrong = [str(t) for t in types
              if {c.weight: c.dim for c in enumerate_restricted(t, 68)}
              != oracle_search(t.family, t.rank, 68)]
+    assert wrong == []
+
+
+def test_weyl_dimension_on_middle_columns_matches_oracle():
+    # At n = 68 a type of rank >= 41 lists only 0, omega_1 and omega_m, so
+    # the search check above never reads a coroot that meets only middle
+    # columns.  omega_k and omega_k + omega_{k+1}, k = floor(m / 2), read them.
+    ranks = {"A": (41, 96, 150, 217, 291), "B": (41, 88, 146), "C": (43, 100, 146),
+             "D": (41, 93, 146)}
+    wrong = []
+    for family, ms in ranks.items():
+        for m in ms:
+            roots, datum = positive_roots(family, m), build_root_datum(LieType(family, m))
+            k = m // 2
+            for a in ((0,) * (k - 1) + (1,) + (0,) * (m - k),
+                      (0,) * (k - 1) + (1, 1) + (0,) * (m - k - 1)):
+                if weyl_dimension(datum, a) != dimension(family, m, roots, a):
+                    wrong.append((f"{family}{m}", sum(a)))
     assert wrong == []

@@ -1,6 +1,7 @@
 """Module boundaries: no package module reaches into another one's private names,
-every import in the package is at module level, no module keeps an `__all__` list
-(the package API is what `__init__` imports), and no line is over 100 characters."""
+every import in the package is at module level and used, no module keeps an
+`__all__` list (the package API is what `__init__` imports), and no line is over
+100 characters."""
 
 import ast
 from pathlib import Path
@@ -81,6 +82,30 @@ def test_nested_import_detector_catches_both_forms():
 @pytest.mark.parametrize("module", MODULES + ["__init__"])
 def test_imports_at_module_level(module):
     assert nested_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports at top level (not from `__future__`) that it never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {node.lineno}: {a.asname or a.name}" for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for a in node.names if (a.asname or a.name).partition(".")[0] not in read]
+
+
+def test_unused_import_detector():
+    src = ("from __future__ import annotations\nimport csv\nimport os.path\n"
+           "import numpy as np\nfrom .arith import is_prime, factorize\n"
+           "x = np.zeros(1)\ndef f(n: int) -> bool:\n    return is_prime(n)\n")
+    assert unused_imports(src) == ["line 2: csv", "line 3: os.path", "line 5: factorize"]
+    assert unused_imports("import os.path\nos.sep\n") == []
+
+
+# __init__ imports the package API for its readers, so it reads none of it.
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / f"{module}.py").read_text()) == []
 
 
 def all_assignments(source: str) -> list[str]:
