@@ -20,10 +20,12 @@ from .induced import (
     verify_orthogonality,
 )
 from .irreps import (
+    ExceptionRecord,
     IrrepCandidate,
     candidates_of_dimension,
     default_scan_types,
     enumerate_restricted,
+    load_exceptions,
 )
 from .root_data import LieType, RootDatum, build_root_datum
 from .steinberg import (

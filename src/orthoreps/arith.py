@@ -209,7 +209,8 @@ def find_prime_pairs(
     is still computed independently on each pair, and any False one raises.
     The scan is by increasing p, then increasing t, so results are
     deterministic; when search_limit caps the scanned values the result may
-    be partial and is flagged exhausted.
+    be partial and is flagged exhausted.  A search_limit <= M leaves no t to
+    scan, so it is refused.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
@@ -217,8 +218,8 @@ def find_prime_pairs(
         raise ValueError(f"M must be >= 1, got {M}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if search_limit is not None and search_limit < 1:
-        raise ValueError(f"search limit must be >= 1, got {search_limit}")
+    if search_limit is not None and search_limit <= M:
+        raise ValueError(f"search limit must exceed M = {M}, got {search_limit}")
     pairs: list[PrimePair] = []
     exhausted = search_limit is not None
     for p in _primes_1_mod_n(n, M, search_limit):

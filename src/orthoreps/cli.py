@@ -28,6 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=list("ABCDEFG"))
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--bound", required=True, type=int)
+    p.add_argument("--exceptions", help="CSV file of non-generic dimension records")
     common(p)
 
     p = sub.add_parser("classify", help="orthogonal/symplectic tensor candidates of dimension n")
@@ -106,7 +107,8 @@ def _weight_str(weight: tuple[int, ...]) -> str:
 
 def _tensor_label(tc) -> str:
     factors = " (x) ".join(f"{_weight_str(f.weight)}:{f.dim}" for f in tc.factors)
-    return f"{tc.type_id}  {factors}"
+    tag = f" [only at l={tc.non_generic_ell}]" if tc.non_generic_ell is not None else ""
+    return f"{tc.type_id}  {factors}{tag}"
 
 
 def _table_report(report) -> str:
@@ -129,7 +131,8 @@ def _table_report(report) -> str:
 
 def _cmd_enumerate(args) -> int:
     type_id = LieType(args.family, args.rank)
-    cands = irreps.enumerate_restricted(type_id, args.bound)
+    exceptions = irreps.load_exceptions(args.exceptions) if args.exceptions else ()
+    cands = irreps.enumerate_restricted(type_id, args.bound, exceptions)
     if args.format == "json":
         text = "".join(json.dumps(irreps.candidate_json(c)) + "\n" for c in cands)
     else:

@@ -22,12 +22,13 @@ from typing import Callable, Container, Iterable, Sequence
 from .arith import is_prime
 from .irreps import (
     GENERIC_CHAR_FLOOR,
+    ExceptionRecord,
     IrrepCandidate,
     candidate_json,
     default_scan_types,
     enumerate_restricted,
 )
-from .root_data import LieType
+from .root_data import LieType, build_root_datum
 
 MODE_ORBIT = "class_s_orbit"
 MODE_ALL = "all_products"
@@ -61,6 +62,7 @@ class TensorCandidate:
     dim: int
     fs: int  # the product of the factors' indicators, so 0 iff a factor is not self-dual
     min_char: int
+    non_generic_ell: int | None = None
 
     @property
     def self_dual(self) -> bool:
@@ -101,7 +103,8 @@ class Theorem1Evidence:
     report: ClassificationReport
 
 
-def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate]) -> TensorCandidate:
+def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate],
+            non_generic_ell: int | None = None) -> TensorCandidate:
     factors = tuple(sorted(factors, key=lambda c: (-c.dim, c.weight)))
     return TensorCandidate(
         type_id=type_id,
@@ -109,6 +112,7 @@ def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate]) -> TensorCandid
         dim=prod(c.dim for c in factors),
         fs=prod(c.fs for c in factors),
         min_char=max(c.min_char for c in factors),
+        non_generic_ell=non_generic_ell,
     )
 
 
@@ -176,21 +180,26 @@ def _assemble(
     return products, events
 
 
-def _factors_by_dim(type_id: LieType, n: int) -> dict[int, list[IrrepCandidate]]:
+def _factors_by_dim(
+    type_id: LieType, n: int, exceptions: Sequence[ExceptionRecord]
+) -> dict[int, list[IrrepCandidate]]:
     """Nontrivial restricted modules of dimension <= n, grouped by dimension."""
     by_dim: dict[int, list[IrrepCandidate]] = {}
-    for c in enumerate_restricted(type_id, n):
+    for c in enumerate_restricted(type_id, n, exceptions):
         if any(c.weight):
             by_dim.setdefault(c.dim, []).append(c)
     return by_dim
 
 
 def steinberg_products(type_id: LieType, n: int, mode: str = MODE_ORBIT) -> list[TensorCandidate]:
-    """The generic tensor products of dimension n within one type."""
+    """The generic tensor products of dimension n within one type.
+
+    Only classify_orthogonal reads exception records.
+    """
     _check_mode(mode)
     if n < 2:
         raise ValueError(f"target dimension must be >= 2, got {n}")
-    by_dim = _factors_by_dim(type_id, n)
+    by_dim = _factors_by_dim(type_id, n, ())
     complete, _ = _split_missing(factorizations(n), by_dim)
     products, _ = _assemble(type_id, complete, by_dim, mode)
     products.sort(key=_product_sort_key)
@@ -210,6 +219,19 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {MODE_ORBIT!r} or {MODE_ALL!r}, got {mode!r}")
 
 
+def _exception_products(
+    type_id: LieType, n: int, exceptions: Sequence[ExceptionRecord]
+) -> list[TensorCandidate]:
+    """The type's exception records of dimension n, as products flagged with their ell."""
+    return [
+        _tensor(type_id, (IrrepCandidate.of(build_root_datum(type_id), rec.weight,
+                                            rec.corrected_dim, range(type_id.rank)),),
+                non_generic_ell=rec.ell)
+        for rec in exceptions
+        if rec.type_id == type_id and rec.corrected_dim == n
+    ]
+
+
 def _compress_ranks(ranks: list[int]) -> str:
     runs = []
     start = prev = ranks[0]
@@ -227,6 +249,7 @@ def classify_orthogonal(
     n: int,
     min_char: int | None = None,
     mode: str = MODE_ORBIT,
+    exceptions: Sequence[ExceptionRecord] = (),
 ) -> ClassificationReport:
     """Classify all orthogonal/symplectic tensor candidates of dimension n.
 
@@ -234,31 +257,23 @@ def classify_orthogonal(
     (dimensions are generic there); it defaults to max(GENERIC_CHAR_FLOOR,
     n + 1), must be at least GENERIC_CHAR_FLOOR and must exceed n: at some
     ell <= n a module whose generic dimension exceeds n can have dimension
-    n, and the scan never reaches it.  Above n every listed factor has
-    <lambda + rho, theta^vee> <= dim <= n (the lemma below), so it lies in
-    the bottom alcove and L = V at every ell >= min_char (Jantzen, RAGS
-    II.5.6).  The scan covers every type whose natural module fits in
-    dimension n, assembles tensor candidates per factorization of n, drops
-    non-self-dual products, and splits the rest by indicator.  Every dropped
-    branch is recorded in the exclusion notes.
-
-    Lemma: for dominant lambda != 0, dim V(lambda) >= <lambda + rho, theta^vee>.
-    The positive coroots form a root poset graded by height (for beta < beta'
-    and delta = beta' - beta, (delta, delta) > 0 gives a simple alpha in delta
-    with (delta, alpha) > 0, so beta' - alpha or beta + alpha lies between).
-    So for lambda_j >= 1 a chain alpha_j^vee = gamma_1 < ... < gamma_H =
-    theta^vee (the highest coroot) has <rho, gamma_k> = k, along which
-    <lambda, gamma_k> >= 1 rises to A = <lambda, theta^vee>.  Every Weyl factor
-    is >= 1, and the chain's give at least prod_{k<H} (k + 1)/k * (A + H)/H =
-    A + H = <lambda + rho, theta^vee>.
+    n, and the scan never reaches it.  Above n every listed generic factor
+    has <lambda + rho, theta^vee> <= dim <= n (the lemma in ExceptionRecord),
+    so L = V at every ell >= min_char; a product from an exception record
+    holds at its record's ell.  The scan covers every type whose natural
+    module fits in dimension n, assembles tensor candidates per factorization
+    of n, drops non-self-dual products, and splits the rest by indicator.
+    Every dropped branch is recorded in the exclusion notes.
     """
-    return _classify(n, min_char, mode, lambda type_id: _factors_by_dim(type_id, n))
+    return _classify(n, min_char, mode, exceptions,
+                     lambda type_id: _factors_by_dim(type_id, n, exceptions))
 
 
 def _classify(
     n: int,
     min_char: int | None,
     mode: str,
+    exceptions: Sequence[ExceptionRecord],
     factors_of: Callable[[LieType], dict[int, list[IrrepCandidate]]],
 ) -> ClassificationReport:
     """classify_orthogonal, with each type's `_factors_by_dim` table from factors_of.
@@ -303,11 +318,13 @@ def _classify(
         products, events = _assemble(t, split(have)[0], by_dim, mode)
         for rule, fact, detail, count in events:
             tally((rule, t.family, fact, detail), (t.rank,), count)
-        for tc in products:
+        for tc in products + _exception_products(t, n, exceptions):
             if tc.self_dual:
                 (orthogonal if tc.fs == 1 else symplectic).append(tc)
                 continue
-            detail = f"e.g. weight {list(tc.factors[0].weight)}"
+            ell = tc.non_generic_ell
+            source = "e.g." if ell is None else f"exception record at ell={ell},"
+            detail = f"{source} weight {list(tc.factors[0].weight)}"
             tally(("non-self-dual", t.family, tuple(sorted(f.dim for f in tc.factors)), detail),
                   (t.rank,), 1)
     for (family, have), ranks in groups.items():
@@ -396,13 +413,13 @@ def theorem1_sweep(pis: Iterable[int] | None = None) -> list[Theorem1Evidence]:
     if not pis:
         return []
     bound = 4 * pis[-1]
-    factors_of = functools.cache(lambda type_id: _factors_by_dim(type_id, bound))
-    return [_evidence(pi, _classify(4 * pi, None, MODE_ORBIT, factors_of))
+    factors_of = functools.cache(lambda type_id: _factors_by_dim(type_id, bound, ()))
+    return [_evidence(pi, _classify(4 * pi, None, MODE_ORBIT, (), factors_of))
             for pi in pis]
 
 
 def tensor_json(tc: TensorCandidate) -> dict:
-    return {
+    obj = {
         "family": tc.type_id.family,
         "rank": tc.type_id.rank,
         "factors": [candidate_json(f) for f in tc.factors],
@@ -411,6 +428,9 @@ def tensor_json(tc: TensorCandidate) -> dict:
         "fs": tc.fs,
         "min_char": tc.min_char,
     }
+    if tc.non_generic_ell is not None:
+        obj["non_generic_ell"] = tc.non_generic_ell
+    return obj
 
 
 def report_json(report: ClassificationReport) -> dict:

@@ -1,8 +1,7 @@
 """Dominant-weight arithmetic: dimensions, duality, indicators.
 
 All computations are exact.  Weyl dimensions come from
-root_data.dim_from_pairings, on the pairings of the coroots that meet a
-weight's support.
+root_data.dim_from_pairings, on the pairings coroot_pairings builds.
 """
 
 from __future__ import annotations
@@ -32,17 +31,21 @@ def as_weight(weight: Sequence[int], rank: int) -> Weight:
     return w
 
 
-def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
-    """Dimension of the highest-weight module with the given dominant weight.
+def coroot_pairings(type_id: LieType, weight: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(<rho, a^vee>, <lambda, a^vee>) over the coroots a^vee that meet lambda's support.
 
-    Only the coroots that meet lambda's support have a Weyl factor other
-    than 1, so only their heights <rho, a^vee> and pairings <lambda, a^vee>
-    are built.
+    Those coroots are the only ones whose Weyl factor differs from 1; the
+    highest coroot is among them unless lambda is 0.
     """
-    w = as_weight(weight, datum.type_id.rank)
+    w = as_weight(weight, type_id.rank)
     support = [i for i, a in enumerate(w) if a]
-    sub, heights = coroot_columns(datum.type_id, support)
-    return dim_from_pairings(heights, sub @ np.asarray([w[i] for i in support], dtype=np.int64))
+    sub, heights = coroot_columns(type_id, support)
+    return heights, sub @ np.asarray([w[i] for i in support], dtype=np.int64)
+
+
+def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
+    """Dimension of the highest-weight module with the given dominant weight."""
+    return dim_from_pairings(*coroot_pairings(datum.type_id, weight))
 
 
 def minus_w0(type_id: LieType, weight: Sequence[int]) -> Weight:

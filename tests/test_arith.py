@@ -194,10 +194,10 @@ class TestPairSearch:
         with pytest.raises(ValueError):
             find_prime_pairs(4, 2, count=0)
 
-    @pytest.mark.parametrize("limit", [0, -5])
-    def test_search_limit_below_one_rejected(self, limit):
-        with pytest.raises(ValueError, match=f"search limit must be >= 1, got {limit}$"):
-            find_prime_pairs(4, 2, search_limit=limit)
+    @pytest.mark.parametrize("M, limit", [(2, -5), (2, 0), (2, 2), (100, 50)])
+    def test_search_limit_at_or_below_M_rejected(self, M, limit):
+        with pytest.raises(ValueError, match=f"search limit must exceed M = {M}, got {limit}$"):
+            find_prime_pairs(4, M, search_limit=limit)
 
     def test_pairs_are_odd_primes_above_floor(self):
         result = find_prime_pairs(6, 10, count=3)

@@ -140,10 +140,12 @@ class TestPrimesCommand:
         if payload["pairs"]:
             assert int(payload["pairs"][0]["p"]) > 385
 
-    def test_limit_below_one_rejected(self, capsys):
-        code, out, err = invoke(capsys, "primes", "--n", "4", "--M", "2", "--limit", "-5")
+    @pytest.mark.parametrize("M, limit", [("2", "-5"), ("100", "50")])
+    def test_limit_at_or_below_m_rejected(self, capsys, M, limit):
+        # No t > M fits under the limit, so there is nothing to scan.
+        code, out, err = invoke(capsys, "primes", "--n", "4", "--M", M, "--limit", limit)
         assert (code, out) == (1, "")
-        assert err == "orthoreps primes: error: search limit must be >= 1, got -5\n"
+        assert err == f"orthoreps primes: error: search limit must exceed M = {M}, got {limit}\n"
 
 
 class TestInduceCommand:
@@ -331,13 +333,25 @@ class TestEnumerateCommand:
         assert [r["dim"] for r in rows] == ["1", "4", "5"]
         assert rows[1]["fs"] == -1
 
-    def test_exceptions_flag_is_gone(self, capsys):
-        # A script that still passes a records file is refused, not given
-        # the generic table as though the file had been read.
+    def test_exceptions_file(self, capsys, tmp_path):
+        path = tmp_path / "exc.csv"
+        path.write_text('family,rank,weight,ell,dim\nB,2,"[10,1]",23,71\n')
+        code, out, _ = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
+                              "--bound", "1200", "--exceptions", str(path))
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        target = [r for r in rows if r["weight"] == [10, 1]]
+        assert target and target[0]["min_char"] == 24
+
+    def test_bottom_alcove_record_names_its_line(self, capsys, tmp_path):
+        # L(2, 2) = V(2, 2) at ell = 23 (<lambda + rho, theta^vee> = 9), so
+        # the row corrects nothing.
+        path = tmp_path / "exc.csv"
+        path.write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",23,71\n')
         code, out, err = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
-                                "--bound", "100", "--exceptions", "f.csv")
+                                "--bound", "100", "--exceptions", str(path))
         assert (code, out) == (1, "")
-        assert "error: unrecognized arguments: --exceptions f.csv" in err
+        assert "line 2: B2 weight [2, 2] has <lambda+rho, theta^vee> = 9 <= ell=23" in err
 
     def test_table_format(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
@@ -377,6 +391,8 @@ def readme_commands():
 
 def test_readme_examples_run(capsys, monkeypatch, tmp_path):
     commands = readme_commands()
+    assert any("--exceptions exc.csv" in c for c in commands)
+    (tmp_path / "exc.csv").write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",7,71\n')
     monkeypatch.chdir(tmp_path)
     for command in commands:
         argv = shlex.split(command, comments=True)[1:]
