@@ -11,38 +11,55 @@ ascending scan, just without testing hopeless t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from typing import Iterator
 
-# Below this threshold the fixed Miller-Rabin base set is a proven
-# deterministic primality test; above it the same bases plus additional
-# fixed bases form a strong probable-prime battery.
-_MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
+# (psi_k, k), OEIS A014233: psi_k is the least strong pseudoprime to the first
+# k prime bases, so below it those k bases decide primality exactly (psi_12 and
+# psi_13: Sorenson and Webster, Math. Comp. 86, 2017).  From psi_13 up, all 26
+# bases 2..101 form a strong probable-prime battery.
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+             79, 83, 89, 97, 101)
 
 PRIMALITY_POLICY = (
-    "Miller-Rabin with bases 2..37 (deterministic below 3.3e24); "
-    "fixed extra bases 41..101 as a strong probable-prime battery above"
+    "Miller-Rabin with the first k prime bases below psi_k (OEIS A014233; "
+    "at most 13 bases, 2..41, proven below 3.3e24); "
+    "bases 2..101 as a strong probable-prime battery above"
 )
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67]
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+_RHO_BLOCK = 128  # Brent's rho: steps whose |x - y| share one gcd
 
 
 def is_prime(n: int) -> bool:
+    """Exact below psi_13 (about 3.3e24); a strong probable-prime test above."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < _MR_DETERMINISTIC_LIMIT else _MR_BASES + _MR_EXTRA_BASES
-    for a in bases:
+    for psi, k in _MR_TIERS:
+        if n < psi:
+            break
+    else:
+        k = len(_MR_BASES)
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -56,17 +73,34 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Floyd's cycle detection: x steps once, y twice)."""
+    """A nontrivial factor of composite odd n (Brent's cycle search, R. P. Brent, BIT 20, 1980).
+
+    y runs ahead of the saved x over doubling spans; the |x - y| of each block
+    of _RHO_BLOCK steps are multiplied mod n and share one gcd.  A block whose
+    gcd is n is stepped through again one gcd at a time.
+    """
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
-        x = y = 2
-        d = 1
+        y, r, q, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                y_block = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = gcd(q, n)
+                k += _RHO_BLOCK
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                y_block = (y_block * y_block + c) % n
+                d = gcd(abs(x - y_block), n)
         if d != n:
             return d
     raise ArithmeticError(f"failed to factor {n}")
@@ -189,7 +223,8 @@ def _order_n_residues(n: int, p: int) -> list[int]:
     """The residues of order exactly n mod p, ascending.
 
     Powers of the least primitive root; finding it factors p - 1, which
-    stalls on some full-strength searches (n = 34, 38, 40, ...).
+    stalls full-strength searches at n = 40, 42, 44, ... and costs seconds
+    at n = 34, 38 and 52.
     """
     g = _smallest_primitive_root(p)
     step = (p - 1) // n

@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -37,16 +37,110 @@ class TestPrimality:
         assert is_prime(n) == naive
 
 
+# psi_k of OEIS A014233 (the least strong pseudoprime to the first k prime
+# bases) with its factors, so each is composite without arith.
+PSI_FACTORS = {
+    2_047: (23, 89),
+    1_373_653: (829, 1657),
+    25_326_001: (2251, 11251),
+    3_215_031_751: (151, 751, 28351),
+    2_152_302_898_747: (6763, 10627, 29947),
+    3_474_749_660_383: (1303, 16927, 157543),
+    341_550_071_728_321: (10670053, 32010157),
+    3_825_123_056_546_413_051: (149491, 747451, 34233211),
+    318_665_857_834_031_151_167_461: (399165290221, 798330580441),
+    3_317_044_064_679_887_385_961_981: (1287836182261, 2575672364521),
+}
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """n passes the strong (Miller-Rabin) test to base a; n odd, n > a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def sieve_window(lo, hi):
+    """{m: m is prime} for lo <= m < hi, by a bytearray sieve of the window."""
+    flags = bytearray([1]) * (hi - lo)
+    for m in range(lo, min(hi, 2)):
+        flags[m - lo] = 0
+    root = isqrt(hi) + 1
+    small = bytearray([1]) * (root + 1)
+    for q in range(2, root + 1):
+        if small[q]:
+            small[q * q :: q] = bytearray(len(small[q * q :: q]))
+            start = max(q * q, -(-lo // q) * q)
+            flags[start - lo :: q] = bytearray(len(flags[start - lo :: q]))
+    return {lo + i: bool(f) for i, f in enumerate(flags)}
+
+
+def prime_at_or_above(x):
+    """The least prime >= x, for x < 10^9 (prime gaps there are below 300)."""
+    return next(m for m, prime in sieve_window(x, x + 300).items() if prime)
+
+
+class TestPrimalityTiers:
+    def test_table_is_psi_of_first_k_bases(self):
+        assert [psi for psi, _ in arith._MR_TIERS] == list(PSI_FACTORS)
+        for psi, k in arith._MR_TIERS:
+            factors = PSI_FACTORS[psi]
+            assert prod(factors) == psi and all(1 < f < psi for f in factors)
+            assert all(strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k])
+            assert not is_prime(psi)
+        # each psi lies below the next row's bound, so that row's bases reject it
+        for (psi, _), (_, k_next) in zip(arith._MR_TIERS, arith._MR_TIERS[1:]):
+            assert not all(strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k_next])
+
+    def test_psi12_is_composite(self):
+        # a strong pseudoprime to bases 2..37, so only the 13th base 41 rejects it
+        assert not is_prime(318665857834031151167461)
+        assert factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+
+    @pytest.mark.parametrize("psi", [2_047, 1_373_653, 25_326_001])
+    def test_matches_sieve_around_tier_bound(self, psi):
+        lo = max(0, psi - 10**4)
+        for m, prime in sieve_window(lo, psi + 10**4).items():
+            assert is_prime(m) == prime, m
+
+
 class TestFactorize:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10**9))
     def test_reconstructs(self, n):
         fac = factorize(n)
-        prod = 1
+        total = 1
         for p, e in fac.items():
             assert is_prime(p)
-            prod *= p**e
-        assert prod == n
+            total *= p**e
+        assert total == n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(71, 10**9 - 300), st.integers(71, 10**9 - 300))
+    def test_two_sieve_primes(self, x, y):
+        p, q = prime_at_or_above(x), prime_at_or_above(y)
+        n = p * q
+        assert factorize(n) == ({p: 2} if p == q else {p: 1, q: 1})
+        d = arith._pollard_rho(n)
+        assert 1 < d < n and n % d == 0
+
+    def test_prime_square(self):
+        assert factorize(1000003**2) == {1000003: 2}
+        assert arith._pollard_rho(1000003**2) == 1000003
+
+    def test_twelve_digit_factors_in_time(self, time_limit):
+        with time_limit(30):
+            assert factorize(999999000001 * 999999999989) == {999999000001: 1, 999999999989: 1}
 
 
 class TestComputeM:
