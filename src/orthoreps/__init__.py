@@ -25,7 +25,6 @@ from .irreps import (
     candidates_of_dimension,
     default_scan_types,
     enumerate_restricted,
-    load_exceptions,
 )
 from .root_data import LieType, RootDatum, build_root_datum
 from .steinberg import (

@@ -28,12 +28,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=list("ABCDEFG"))
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--bound", required=True, type=int)
-    p.add_argument("--exceptions", help="CSV file of non-generic dimension records")
     common(p)
 
     p = sub.add_parser("classify", help="orthogonal/symplectic tensor candidates of dimension n")
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--min-char", type=int, default=None, dest="min_char")
     p.add_argument("--mode", choices=("orbit", "all"), default="orbit")
     common(p)
 
@@ -130,9 +128,7 @@ def _table_report(report) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    type_id = LieType(args.family, args.rank)
-    exceptions = irreps.load_exceptions(args.exceptions) if args.exceptions else ()
-    cands = irreps.enumerate_restricted(type_id, args.bound, exceptions)
+    cands = irreps.enumerate_restricted(LieType(args.family, args.rank), args.bound)
     if args.format == "json":
         text = "".join(json.dumps(irreps.candidate_json(c)) + "\n" for c in cands)
     else:
@@ -143,7 +139,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_classify(args) -> int:
     mode = steinberg.MODE_ORBIT if args.mode == "orbit" else steinberg.MODE_ALL
-    report = steinberg.classify_orthogonal(args.n, args.min_char, mode)
+    report = steinberg.classify_orthogonal(args.n, mode)
     _emit(args, steinberg.report_json(report), lambda: _table_report(report))
     return 0
 
@@ -239,6 +235,8 @@ def run(argv: list[str] | None = None) -> int:
         return 1 if exc.code == 2 else int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
+    except TimeoutError:  # an OSError, but a caller's time limit, not a failed command
+        raise
     except (ValueError, OSError) as exc:
         print(f"orthoreps {args.command}: error: {exc}", file=sys.stderr)
         return 1

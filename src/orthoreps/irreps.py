@@ -12,16 +12,14 @@ each.  The pairings and heights of the coroots that meet those
 coordinates are kept per (type, active coordinates), so a repeated search
 builds no coroot, and the self-duality and indicator of every hit are read
 on the same coordinates.  Generic (characteristic-zero) dimensions are
-reported; known small-characteristic corrections are ingested from a CSV
-exceptions file rather than computed.
+reported; a known small-characteristic correction is not computed but passed
+in from Python as an ExceptionRecord.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +28,8 @@ from .arith import is_prime
 from .root_data import LieType, RootDatum, build_root_datum, coroot_columns
 from .weights import as_weight, coroot_pairings, dim_from_pairings, indicator
 
-# The least min_char of a module or a report; exception records can raise it.
+# The least min_char of a module or a report.  A report's is max(floor, n + 1),
+# fixed by n; exception records can raise a module's.
 GENERIC_CHAR_FLOOR = 20
 
 
@@ -59,7 +58,7 @@ class IrrepCandidate:
 
         cols holds the weight's support (see weights.indicator);
         range(datum.type_id.rank) always does.
-        matching_ells are the characteristics of ingested exceptions for this
+        matching_ells are the characteristics of exception records for this
         weight; they can only raise min_char.
         """
         return cls(
@@ -73,8 +72,8 @@ class IrrepCandidate:
 
 @dataclass(frozen=True)
 class ExceptionRecord:
-    """An ingested non-generic dimension: at characteristic ell the module
-    with this highest weight has corrected_dim instead of the generic value.
+    """A non-generic dimension: at characteristic ell the module with this
+    highest weight has corrected_dim instead of the generic value.
 
     L(weight) is the simple quotient of the Weyl module V(weight) (Jantzen,
     RAGS II.2), so a record must lower the generic dimension; one that
@@ -238,58 +237,6 @@ def candidates_of_dimension(types: Iterable[LieType], n: int) -> list[IrrepCandi
                 out.append(cand)
     out.sort(key=lambda c: (c.type_id, c.weight))
     return out
-
-
-_EXCEPTIONS_HEADER = ["family", "rank", "weight", "ell", "dim"]
-
-
-def _exception_record(row: list[str]) -> ExceptionRecord:
-    """The record of one CSV row, in which an unquoted weight is split at its commas."""
-    fields: list[str] = []
-    for f in row:
-        if fields and fields[-1].count("[") > fields[-1].count("]"):
-            fields[-1] += "," + f.strip()
-        else:
-            fields.append(f.strip())
-    if len(fields) != 5:
-        raise ValueError(f"expected 5 fields, got {len(fields)}")
-    fam, rank, weight, ell, dim = fields
-    type_id = LieType(fam, int(rank))
-    if not (weight.startswith("[") and weight.endswith("]")):
-        raise ValueError(f"weight must be a bracketed list, got {weight!r}")
-    coeffs = tuple(int(v) for v in weight[1:-1].split(",") if v.strip() != "")
-    return ExceptionRecord(type_id, coeffs, int(ell), int(dim))
-
-
-def load_exceptions(source: str | Path | Iterable[str]) -> tuple[ExceptionRecord, ...]:
-    """Parse a CSV file, text stream or iterable of lines of non-generic dimension records.
-
-    Format: header ``family,rank,weight,ell,dim`` with the weight as a
-    bracketed coefficient list, quoted or not, e.g. ``B,2,"[2,2]",7,71``.
-    ExceptionRecord checks each record; duplicate (type, weight, ell) rows
-    are rejected.  Errors name the offending line number.
-    """
-    if isinstance(source, (str, Path)):
-        source = Path(source).read_text().splitlines()
-    reader = csv.reader(source, skipinitialspace=True)
-    rows = ((reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip())
-    no, header = next(rows, (0, _EXCEPTIONS_HEADER))  # no rows: no records
-    if [f.strip() for f in header] != _EXCEPTIONS_HEADER:
-        raise ValueError(f"line {no}: bad header {','.join(header)!r}; expected "
-                         f"{','.join(_EXCEPTIONS_HEADER)}")
-    records: list[ExceptionRecord] = []
-    seen: dict[tuple, int] = {}
-    for no, row in rows:
-        try:
-            rec = _exception_record(row)
-        except ValueError as exc:
-            raise ValueError(f"line {no}: {exc}") from None
-        key = (rec.type_id, rec.weight, rec.ell)
-        if key in seen:
-            raise ValueError(f"line {no}: duplicate record (first seen on line {seen[key]})")
-        seen[key] = no
-        records.append(rec)
-    return tuple(records)
 
 
 def candidate_json(cand: IrrepCandidate) -> dict:

@@ -247,31 +247,27 @@ def _compress_ranks(ranks: list[int]) -> str:
 
 def classify_orthogonal(
     n: int,
-    min_char: int | None = None,
     mode: str = MODE_ORBIT,
     exceptions: Sequence[ExceptionRecord] = (),
 ) -> ClassificationReport:
     """Classify all orthogonal/symplectic tensor candidates of dimension n.
 
-    min_char fixes the characteristic regime the report is valid for
-    (dimensions are generic there); it defaults to max(GENERIC_CHAR_FLOOR,
-    n + 1), must be at least GENERIC_CHAR_FLOOR and must exceed n: at some
-    ell <= n a module whose generic dimension exceeds n can have dimension
-    n, and the scan never reaches it.  Above n every listed generic factor
-    has <lambda + rho, theta^vee> <= dim <= n (the lemma in ExceptionRecord),
-    so L = V at every ell >= min_char; a product from an exception record
-    holds at its record's ell.  The scan covers every type whose natural
-    module fits in dimension n, assembles tensor candidates per factorization
-    of n, drops non-self-dual products, and splits the rest by indicator.
-    Every dropped branch is recorded in the exclusion notes.
+    The report holds in the generic regime ell > n, so its min_char is
+    max(GENERIC_CHAR_FLOOR, n + 1), fixed by n: at some ell <= n a module
+    whose generic dimension exceeds n can have dimension n, and the scan
+    never reaches it.  Above n every listed generic factor has
+    <lambda + rho, theta^vee> <= dim <= n (the lemma in ExceptionRecord), so
+    L = V at every ell >= min_char; a product from an exception record holds
+    at its record's ell.  The scan covers every type whose natural module
+    fits in dimension n, assembles tensor candidates per factorization of n,
+    drops non-self-dual products, and splits the rest by indicator.  Every
+    dropped branch is recorded in the exclusion notes.
     """
-    return _classify(n, min_char, mode, exceptions,
-                     lambda type_id: _factors_by_dim(type_id, n, exceptions))
+    return _classify(n, mode, exceptions, lambda type_id: _factors_by_dim(type_id, n, exceptions))
 
 
 def _classify(
     n: int,
-    min_char: int | None,
     mode: str,
     exceptions: Sequence[ExceptionRecord],
     factors_of: Callable[[LieType], dict[int, list[IrrepCandidate]]],
@@ -285,14 +281,6 @@ def _classify(
     if n < 2 or n % 2:
         raise ValueError(f"target dimension must be even and >= 2, got {n}")
     _check_mode(mode)
-    if min_char is None:
-        min_char = max(GENERIC_CHAR_FLOOR, n + 1)
-    if min_char < GENERIC_CHAR_FLOOR:
-        raise ValueError(f"min_char must be at least {GENERIC_CHAR_FLOOR} (generic regime), "
-                         f"got {min_char}")
-    if min_char <= n:
-        raise ValueError(f"min_char must exceed n={n}: generic dimensions are certified only "
-                         f"above n, got {min_char}")
 
     facts = factorizations(n)
     divisors = {d for fact in facts for d in fact}
@@ -353,7 +341,7 @@ def _classify(
     return ClassificationReport(
         n=n,
         mode=mode,
-        min_char=min_char,
+        min_char=max(GENERIC_CHAR_FLOOR, n + 1),
         orthogonal=tuple(sorted(orthogonal, key=key)),
         symplectic=tuple(sorted(symplectic, key=key)),
         excluded_non_self_dual=sum(note.count for note in notes if note.rule == "non-self-dual"),
@@ -414,7 +402,7 @@ def theorem1_sweep(pis: Iterable[int] | None = None) -> list[Theorem1Evidence]:
         return []
     bound = 4 * pis[-1]
     factors_of = functools.cache(lambda type_id: _factors_by_dim(type_id, bound, ()))
-    return [_evidence(pi, _classify(4 * pi, None, MODE_ORBIT, (), factors_of))
+    return [_evidence(pi, _classify(4 * pi, MODE_ORBIT, (), factors_of))
             for pi in pis]
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from orthoreps import cli
 from orthoreps.cli import run
 from orthoreps.induced import TameParameters
 
@@ -106,13 +107,6 @@ class TestClassifyCommand:
         code, _, err = invoke(capsys, "classify", "--n", "7")
         assert code == 1
         assert "even" in err
-
-    def test_min_char_at_most_n_rejected(self, capsys):
-        # At ell = 23 the B11 module L(2*omega_1) is 274-dimensional and
-        # orthogonal; a scan of generic dimensions cannot see it.
-        code, out, err = invoke(capsys, "classify", "--n", "274", "--min-char", "23")
-        assert code == 1 and out == ""
-        assert "generic dimensions are certified only above n" in err
 
     def test_mode_flag(self, capsys):
         code, out, _ = invoke(capsys, "classify", "--n", "4", "--mode", "all")
@@ -293,15 +287,15 @@ CLI_PINS = [
     ("transmogrify", 1,
      EMPTY, "55ebf4d209732464b0215df0720dbd125097056fb2756744e18bf464cc9e23fd"),
     ("classify", 1,
-     EMPTY, "36da55d8f62614343a0667ba02cc01f26bd3e866c1d428dcad950dcf892bd29b"),
+     EMPTY, "9b0bdd2c7c1f4952e5d30882365d12e098d379ab8e4ed9ec40b7aa60d874ade6"),
     ("theorem1 --pi 17 --all", 1,
      EMPTY, "159ad26bb20d647c97c47fc535b475e831ef45c493a11cf72f6ff2f9da57c63e"),
     ("classify --n x", 1,
-     EMPTY, "aa2945532a3b239abd960a50f268fdc5fe95290dd7991420606be6841d46c7f4"),
+     EMPTY, "5c6fb7b71ee6744e20e61c7d3d3e0bb19b94c685fc2ccd52ba44bde8402ef69a"),
     ("classify --n 7 --format table", 1,
      EMPTY, "ec9b764c16e8aac3512691abd823d635439021fa992f6072da1249dfef846fb0"),
     ("classify --help", 0,
-     "5d0da520a10fd294cc18bcbdb31eeab6b47aa9c83f915161da70bd6309a83fce", EMPTY),
+     "04c32db92e3a6747b3e2619772c26d2a3fa5646d2b2703c0c9c0385149191ebc", EMPTY),
 ]
 
 
@@ -333,26 +327,6 @@ class TestEnumerateCommand:
         assert [r["dim"] for r in rows] == ["1", "4", "5"]
         assert rows[1]["fs"] == -1
 
-    def test_exceptions_file(self, capsys, tmp_path):
-        path = tmp_path / "exc.csv"
-        path.write_text('family,rank,weight,ell,dim\nB,2,"[10,1]",23,71\n')
-        code, out, _ = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
-                              "--bound", "1200", "--exceptions", str(path))
-        assert code == 0
-        rows = [json.loads(line) for line in out.splitlines()]
-        target = [r for r in rows if r["weight"] == [10, 1]]
-        assert target and target[0]["min_char"] == 24
-
-    def test_bottom_alcove_record_names_its_line(self, capsys, tmp_path):
-        # L(2, 2) = V(2, 2) at ell = 23 (<lambda + rho, theta^vee> = 9), so
-        # the row corrects nothing.
-        path = tmp_path / "exc.csv"
-        path.write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",23,71\n')
-        code, out, err = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
-                                "--bound", "100", "--exceptions", str(path))
-        assert (code, out) == (1, "")
-        assert "line 2: B2 weight [2, 2] has <lambda+rho, theta^vee> = 9 <= ell=23" in err
-
     def test_table_format(self, capsys):
         code, out, _ = invoke(capsys, "enumerate", "--family", "B", "--rank", "2",
                               "--bound", "5", "--format", "table")
@@ -381,6 +355,36 @@ class TestCliContract:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["M"] == "385"
 
+    def test_output_into_missing_directory_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.json"
+        code, out, err = invoke(capsys, "bound", "--n", "2", "--k", "1", "--cond", "1",
+                                "--output", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("orthoreps bound: error: ") and str(path) in err
+
+    def test_timeout_is_raised_not_reported(self, capsys, monkeypatch):
+        # TimeoutError is an OSError, but it is a caller's time limit (a
+        # SIGALRM handler), not a failed command.
+        def stalled(args):
+            raise TimeoutError("time limit")
+
+        monkeypatch.setitem(cli._HANDLERS, "bound", stalled)
+        with pytest.raises(TimeoutError, match="time limit"):
+            run(["bound", "--n", "2", "--k", "1", "--cond", "1"])
+        assert capsys.readouterr().err == ""
+
+    # The regime of a report follows from n, and exception records are
+    # built in Python: neither is a command-line input.
+    @pytest.mark.parametrize("command", [
+        "enumerate --family B --rank 2 --bound 5 --exceptions x.csv",
+        "classify --n 68 --min-char 69",
+    ])
+    def test_removed_options_unrecognized(self, capsys, command):
+        code, out, err = invoke(capsys, *command.split())
+        assert (code, out) == (1, "")
+        option = command.split()[-2]
+        assert f"error: unrecognized arguments: {option} " in err
+
 
 def readme_commands():
     """Every line of README's sh blocks that begins with `orthoreps `."""
@@ -390,11 +394,8 @@ def readme_commands():
 
 
 def test_readme_examples_run(capsys, monkeypatch, tmp_path):
-    commands = readme_commands()
-    assert any("--exceptions exc.csv" in c for c in commands)
-    (tmp_path / "exc.csv").write_text('family,rank,weight,ell,dim\nB,2,"[2,2]",7,71\n')
     monkeypatch.chdir(tmp_path)
-    for command in commands:
+    for command in readme_commands():
         argv = shlex.split(command, comments=True)[1:]
         assert run(argv) == 0, command
         capsys.readouterr()

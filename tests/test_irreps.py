@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 
@@ -18,7 +17,6 @@ from orthoreps.irreps import (
     candidates_of_dimension,
     default_scan_types,
     enumerate_restricted,
-    load_exceptions,
 )
 from orthoreps.root_data import LieType, _cartan_matrix, build_root_datum, coroot_columns
 from orthoreps.steinberg import classify_orthogonal
@@ -316,117 +314,51 @@ class TestCandidatesOfDimension:
         assert LieType("D", 5) in types and LieType("D", 6) not in types
 
 
-EXC_HEADER = "family,rank,weight,ell,dim"
-B2_22 = ExceptionRecord(LieType("B", 2), (2, 2), 7, 71)
-B2_32 = ExceptionRecord(LieType("B", 2), (3, 2), 7, 61)
-CRLF_TEXT = f"{EXC_HEADER}\r\nB,2,[2,2],7,71\r\n"
+B2 = LieType("B", 2)
 
 
-def _write(path, data: bytes):
-    path.write_bytes(data)
-    return path
-
-
-@pytest.mark.parametrize("make_source,expected", [
-    (lambda tmp: [EXC_HEADER, 'B,2,"[2,2]",7,71'], (B2_22,)),
-    (lambda tmp: [EXC_HEADER, "B,2,[3,2],7,61"], (B2_32,)),
-    (lambda tmp: [EXC_HEADER, "B, 2, [2, 2], 7, 71", "B, 2, [3,2] ,7 , 61 "], (B2_22, B2_32)),
-    (lambda tmp: ['"family","rank","weight","ell","dim"', '"B","2","[2,2]","7","71"'], (B2_22,)),
-    (lambda tmp: ["", "  ", EXC_HEADER, "", "B,2,[2,2],7,71", "   ", "B,2,[3,2],7,61", ""],
-     (B2_22, B2_32)),
-    (lambda tmp: CRLF_TEXT.splitlines(keepends=True), (B2_22,)),
-    (lambda tmp: io.StringIO(CRLF_TEXT), (B2_22,)),
-    (lambda tmp: io.StringIO(f"{EXC_HEADER}\nB,2,[3,2],7,61\n"), (B2_32,)),
-    (lambda tmp: _write(tmp / "exc.csv", CRLF_TEXT.encode()), (B2_22,)),
-    (lambda tmp: str(_write(tmp / "exc.csv", b"family,rank,weight,ell,dim\nB,2,[3,2],7,61")),
-     (B2_32,)),
-], ids=["quoted", "unquoted", "spaced", "all-quoted", "blank-lines", "crlf-lines",
-        "crlf-stream", "stream", "crlf-path", "path-str"])
-def test_loader_accepted_forms(tmp_path, make_source, expected):
-    assert load_exceptions(make_source(tmp_path)) == expected
-
-
-@pytest.mark.parametrize("row,message", [
-    ("B,2,[2,2],7", "line 3: expected 5 fields, got 4"),
-    (",", "line 3: expected 5 fields, got 2"),
-    ("B,2,2,7,71", "line 3: weight must be a bracketed list, got '2'"),
-    ("X,2,[2,2],7,71", "line 3: unknown family 'X'; expected one of A..G"),
-    ("B,1,[2],7,2", "line 3: family B needs rank >= 2, got 1"),
-    ("B,2,[2,2],seven,71", "line 3: invalid literal for int() with base 10: 'seven'"),
-    ("B,2,[-1,2],7,1",
-     "line 3: weight (-1, 2) has a negative coefficient; dominance requires >= 0"),
-    ("B,2,[2,2,2],7,71", "line 3: weight length 3 does not match rank 2"),
-    ("B,2,[2,2],9,71", "line 3: ell=9 is not prime"),
-    ("B,2,[2,2],7,0", "line 3: corrected dimension must be positive"),
-    ("B,2,[1,0],7,500",
-     "line 3: corrected dimension 500 exceeds the generic dimension 5 of B2 weight [1, 0]"),
-    ("B,2,[2,2],7,70", "line 3: duplicate record (first seen on line 2)"),
-    ("B,2,[2,2],23,71",
-     "line 3: B2 weight [2, 2] has <lambda+rho, theta^vee> = 9 <= ell=23, so L = V there"),
+@pytest.mark.parametrize("args,message", [
+    (("X", 2, (2, 2), 7, 71), "unknown family 'X'; expected one of A..G"),
+    (("B", 1, (2,), 7, 2), "family B needs rank >= 2, got 1"),
+    (("B", 2, (-1, 2), 7, 1),
+     "weight (-1, 2) has a negative coefficient; dominance requires >= 0"),
+    (("B", 2, (2, 2, 2), 7, 71), "weight length 3 does not match rank 2"),
+    (("B", 2, (2, 2), 7, 0), "corrected dimension must be positive"),
+    (("B", 2, (2, 2), 23, 71),
+     "B2 weight [2, 2] has <lambda+rho, theta^vee> = 9 <= ell=23, so L = V there"),
     # At ell = 277, L(300) is L(23) (x) L(1)^[1], of dimension 48.
-    ("A,1,[300],277,274",
-     "line 3: A1 weight [300] is not restricted at ell=277: a coefficient is >= ell"),
-    (None, "line 2: bad header 'family,rank,ell,dim'; expected family,rank,weight,ell,dim"),
-], ids=["few-fields", "empty-fields", "unbracketed", "family", "rank", "non-integer", "negative",
-        "weight-length", "ell-not-prime", "dim-zero", "dim-above-generic", "duplicate",
-        "bottom-alcove", "unrestricted", "header"])
-def test_loader_rejections_name_line_and_reason(row, message):
-    # The row is line 3, after the header and a valid row; the bad header is
-    # line 2, after a blank line.
-    lines = ["", "family,rank,ell,dim", "B,2,7,71"] if row is None else [
-        EXC_HEADER, "B,2,[2,2],7,71", row]
+    (("A", 1, (300,), 277, 274),
+     "A1 weight [300] is not restricted at ell=277: a coefficient is >= ell"),
+], ids=["family", "rank", "negative", "weight-length", "dim-zero", "bottom-alcove", "unrestricted"])
+def test_record_rejections_name_reason(args, message):
+    family, rank, weight, ell, dim = args
     with pytest.raises(ValueError) as err:
-        load_exceptions(lines)
+        ExceptionRecord(LieType(family, rank), weight, ell, dim)
     assert str(err.value) == message
 
 
 class TestExceptions:
-    def test_empty_stream(self):
-        assert load_exceptions(io.StringIO("")) == ()
-
-    def test_round_trip(self):
-        rows = [EXC_HEADER, 'B,2,"[2,2]",7,71', "B,2,[3,2],7,61"]
-        recs = load_exceptions(rows)
-        assert recs == (
-            ExceptionRecord(LieType("B", 2), (2, 2), 7, 71),
-            ExceptionRecord(LieType("B", 2), (3, 2), 7, 61),
-        )
-
     def test_oversized_dimension_rejected(self):
-        rows = [EXC_HEADER, "B,2,[1,0],7,500"]
-        with pytest.raises(ValueError, match="line 2.*exceeds the generic"):
-            load_exceptions(rows)
+        with pytest.raises(ValueError) as err:
+            ExceptionRecord(B2, (1, 0), 7, 500)
+        assert str(err.value) == ("corrected dimension 500 exceeds the generic dimension 5 "
+                                  "of B2 weight [1, 0]")
 
     def test_huge_weight_row_checked(self):
         # Read exactly and checked through to the last rule: it is not restricted at 7.
-        with pytest.raises(ValueError, match=r"^line 2: A1 weight \[1000000000000\] is not "
+        with pytest.raises(ValueError, match=r"^A1 weight \[1000000000000\] is not "
                                              r"restricted at ell=7: a coefficient is >= ell$"):
-            load_exceptions([EXC_HEADER, 'A,1,"[1000000000000]",7,1'])
-
-    def test_duplicate_rejected(self):
-        rows = [EXC_HEADER, "B,2,[2,2],7,71", "B,2,[2,2],7,70"]
-        with pytest.raises(ValueError, match="duplicate.*line 2"):
-            load_exceptions(rows)
-
-    def test_malformed_row_names_line(self):
-        rows = [EXC_HEADER, "B,2,[2,2],7"]
-        with pytest.raises(ValueError, match="line 2"):
-            load_exceptions(rows)
+            ExceptionRecord(A1, (10**12,), 7, 1)
 
     def test_nonprime_ell_rejected(self):
-        rows = [EXC_HEADER, "B,2,[2,2],9,71"]
-        with pytest.raises(ValueError, match="not prime"):
-            load_exceptions(rows)
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError, match="header"):
-            load_exceptions(["family,rank,ell,dim", "B,2,7,71"])
+        with pytest.raises(ValueError) as err:
+            ExceptionRecord(B2, (2, 2), 9, 71)
+        assert str(err.value) == "ell=9 is not prime"
 
     def test_exception_raises_min_char(self):
         # a record at ell >= 20 moves the trust floor above that ell; L(10, 1)
         # is 1144-dimensional, with <lambda + rho, theta^vee> = 24 > 23
-        recs = load_exceptions([EXC_HEADER, "B,2,[10,1],23,71"])
-        cands = enumerate_restricted(LieType("B", 2), 1200, recs)
+        cands = enumerate_restricted(B2, 1200, [ExceptionRecord(B2, (10, 1), 23, 71)])
         by_weight = {c.weight: c for c in cands}
         assert by_weight[(10, 1)].min_char == 24
         assert by_weight[(1, 1)].min_char == 20
@@ -434,20 +366,16 @@ class TestExceptions:
     def test_record_must_lower_the_generic_dimension(self):
         # L(9) of A1 has the generic dimension 10 at ell = 23, so a record
         # giving 10 corrects nothing and would list the module twice.
-        with pytest.raises(ValueError, match="line 2: corrected dimension 10 equals the generic"):
-            load_exceptions([EXC_HEADER, "A,1,[9],23,10"])
-        with pytest.raises(ValueError, match="equals the generic"):
+        with pytest.raises(ValueError, match="^corrected dimension 10 equals the generic"):
             ExceptionRecord(A1, (9,), 23, 10)
         # L(3, 1) of B2 (generic dimension 80) recorded at 60: listed once, flagged.
-        B2 = LieType("B", 2)
         report = classify_orthogonal(60, exceptions=[ExceptionRecord(B2, (3, 1), 7, 60)])
         hits = [tc.non_generic_ell for tc in report.orthogonal + report.symplectic
                 if (tc.type_id, tc.factors[0].weight) == (B2, (3, 1))]
         assert hits == [7]
 
     def test_small_ell_exception_keeps_floor(self):
-        recs = load_exceptions([EXC_HEADER, "B,2,[2,2],7,71"])
-        cands = enumerate_restricted(LieType("B", 2), 100, recs)
+        cands = enumerate_restricted(B2, 100, [ExceptionRecord(B2, (2, 2), 7, 71)])
         by_weight = {c.weight: c for c in cands}
         assert by_weight[(2, 2)].min_char == 20
 

@@ -11,7 +11,6 @@ from orthoreps.irreps import (
     ExceptionRecord,
     IrrepCandidate,
     default_scan_types,
-    load_exceptions,
 )
 from orthoreps.root_data import LieType, build_root_datum
 from orthoreps.steinberg import (
@@ -135,7 +134,7 @@ class TestClassify:
         assert all(n.rule == "missing-factor-dimension" for n in report.notes)
 
     def test_n12_orbit(self):
-        report = classify_orthogonal(12, min_char=20)
+        report = classify_orthogonal(12)
         orth = [(str(tc.type_id), [f.weight for f in tc.factors]) for tc in report.orthogonal]
         assert orth == [("D6", [(1, 0, 0, 0, 0, 0)])]
         sympl = {(str(tc.type_id), tuple(f.dim for f in tc.factors)) for tc in report.symplectic}
@@ -143,19 +142,19 @@ class TestClassify:
         assert ("A1", (12,)) in sympl
 
     def test_n68_orbit(self):
-        report = classify_orthogonal(68, min_char=69)
+        report = classify_orthogonal(68)
         assert [str(tc.type_id) for tc in report.orthogonal] == ["D34"]
         sympl = {str(tc.type_id) for tc in report.symplectic}
         assert {"A1", "C34"} <= sympl
         assert report.excluded_non_self_dual >= 2  # the two A67 naturals
 
     def test_all_mode_at_68_shows_a1_products(self):
-        report = classify_orthogonal(68, min_char=69, mode=MODE_ALL)
+        report = classify_orthogonal(68, mode=MODE_ALL)
         orth = {(str(tc.type_id), tuple(f.dim for f in tc.factors)) for tc in report.orthogonal}
         assert ("D34", (68,)) in orth
         assert ("A1", (17, 2, 2)) in orth  # kept by all_products, dropped by the orbit rule
         assert ("A1", (34, 2)) in orth
-        orbit = classify_orthogonal(68, min_char=69, mode=MODE_ORBIT)
+        orbit = classify_orthogonal(68, mode=MODE_ORBIT)
         assert {(str(tc.type_id), tuple(f.dim for f in tc.factors)) for tc in orbit.orthogonal} == {
             ("D34", (68,))
         }
@@ -165,8 +164,13 @@ class TestClassify:
             classify_orthogonal(7)
 
     def test_low_min_char_rejected(self):
-        with pytest.raises(ValueError):
+        # No input sets the regime: min_char is not a parameter.
+        with pytest.raises(TypeError):
             classify_orthogonal(12, min_char=7)
+
+    @pytest.mark.parametrize("n,min_char", [(2, 20), (18, 20), (20, 21), (68, 69)])
+    def test_min_char_fixed_by_n(self, n, min_char):
+        assert classify_orthogonal(n).min_char == min_char == max(GENERIC_CHAR_FLOOR, n + 1)
 
     def test_no_non_a1_dim2_factor_anywhere(self):
         for n in (4, 12, 16):
@@ -176,10 +180,8 @@ class TestClassify:
                     assert not (f.dim == 2 and f.type_id.family != "A")
 
     def test_exception_candidates_flagged(self):
-        recs = load_exceptions(
-            ["family,rank,weight,ell,dim", "B,2,[3,1],7,60"]
-        )
-        report = classify_orthogonal(60, min_char=61, exceptions=recs)
+        recs = [ExceptionRecord(LieType("B", 2), (3, 1), 7, 60)]
+        report = classify_orthogonal(60, exceptions=recs)
         tagged = [tc for tc in report.orthogonal + report.symplectic if tc.non_generic_ell is not None]
         assert len(tagged) == 1
         assert tagged[0].non_generic_ell == 7
@@ -190,8 +192,8 @@ class TestClassify:
         # L(2*omega_1) of A2 is not self-dual; a record giving it dimension n
         # is dropped, and the drop must show in the notes and the count.
         rec = ExceptionRecord(LieType("A", 2), (2, 0), 3, 4)
-        plain = classify_orthogonal(4, min_char=20)
-        report = classify_orthogonal(4, min_char=20, exceptions=[rec])
+        plain = classify_orthogonal(4)
+        report = classify_orthogonal(4, exceptions=[rec])
         assert report.orthogonal == plain.orthogonal and report.symplectic == plain.symplectic
         assert report.excluded_non_self_dual == plain.excluded_non_self_dual + 1
         added = [note for note in report.notes if note not in plain.notes]
@@ -292,7 +294,7 @@ def _oracle_assemble(type_id, facts, by_dim, mode):
     return products, events
 
 
-def _oracle_filter(type_id, products, n, min_char, exceptions):
+def _oracle_filter(type_id, products, n, exceptions):
     """Kept products, exclusion events and the non-self-dual count of one type,
     with the type's exception records of dimension n added."""
     events, kept, non_self_dual = [], [], 0
@@ -317,16 +319,14 @@ def _oracle_filter(type_id, products, n, min_char, exceptions):
     return kept, events, non_self_dual
 
 
-def oracle_classify(n, min_char, mode, exceptions, factors_of):
+def oracle_classify(n, mode, exceptions, factors_of):
     """Reference classification: one event per (type, factorization), aggregated
     by listing every (rank, count) hit of each note key."""
-    if min_char is None:
-        min_char = max(GENERIC_CHAR_FLOOR, n + 1)
     facts = factorizations(n)
     orthogonal, symplectic, non_self_dual, raw = [], [], 0, {}
     for t in default_scan_types(n):
         products, events = _oracle_assemble(t, facts, factors_of(t), mode)
-        kept, dropped, nsd = _oracle_filter(t, products, n, min_char, exceptions)
+        kept, dropped, nsd = _oracle_filter(t, products, n, exceptions)
         non_self_dual += nsd
         for tc in kept:
             (orthogonal if tc.fs == 1 else symplectic).append(tc)
@@ -339,7 +339,7 @@ def oracle_classify(n, min_char, mode, exceptions, factors_of):
         for (rule, family, fact, detail), hits in sorted(raw.items())
     )
     key = lambda tc: (tc.type_id, steinberg._product_sort_key(tc))
-    return ClassificationReport(n=n, mode=mode, min_char=min_char,
+    return ClassificationReport(n=n, mode=mode, min_char=max(GENERIC_CHAR_FLOOR, n + 1),
                                 orthogonal=tuple(sorted(orthogonal, key=key)),
                                 symplectic=tuple(sorted(symplectic, key=key)),
                                 excluded_non_self_dual=non_self_dual, notes=notes)
@@ -349,18 +349,15 @@ def oracle_classify(n, min_char, mode, exceptions, factors_of):
 @given(
     st.integers(1, 60).map(lambda h: 2 * h) | st.sampled_from([144, 240, 288]),
     st.sampled_from([MODE_ORBIT, MODE_ALL]),
-    st.none() | st.integers(0, 8),
     st.booleans(),
 )
-def test_notes_per_divisor_signature_match_oracle(n, mode, offset, with_exceptions):
-    # min_char is the default or a little above n.  Records: one self-dual
-    # (B2) and one that is not (A2), both of dimension n (their generic
-    # dimensions are 640 and 561).
-    min_char = None if offset is None else max(GENERIC_CHAR_FLOOR, n + 1 + offset)
+def test_notes_per_divisor_signature_match_oracle(n, mode, with_exceptions):
+    # Records: one self-dual (B2) and one that is not (A2), both of dimension
+    # n (their generic dimensions are 640 and 561).
     exceptions = (ExceptionRecord(LieType("B", 2), (5, 3), 13, n),
                   ExceptionRecord(LieType("A", 2), (10, 5), 11, n)) if with_exceptions else ()
-    report = classify_orthogonal(n, min_char, mode, exceptions)
-    oracle = oracle_classify(n, min_char, mode, exceptions,
+    report = classify_orthogonal(n, mode, exceptions)
+    oracle = oracle_classify(n, mode, exceptions,
                              lambda t: steinberg._factors_by_dim(t, n, exceptions))
     assert json.dumps(report_json(report)) == json.dumps(report_json(oracle))
 
@@ -368,6 +365,6 @@ def test_notes_per_divisor_signature_match_oracle(n, mode, offset, with_exceptio
 def test_sweep_notes_match_oracle():
     # The sweep's tables are built at 4 * 19 = 76 and read at n = 68 too.
     for ev in theorem1_sweep([17, 19]):
-        oracle = oracle_classify(ev.n, ev.n + 1, MODE_ORBIT, (),
+        oracle = oracle_classify(ev.n, MODE_ORBIT, (),
                                  lambda t: steinberg._factors_by_dim(t, 76, ()))
         assert json.dumps(report_json(ev.report)) == json.dumps(report_json(oracle))
