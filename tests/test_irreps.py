@@ -323,13 +323,17 @@ B2 = LieType("B", 2)
     (("B", 2, (-1, 2), 7, 1),
      "weight (-1, 2) has a negative coefficient; dominance requires >= 0"),
     (("B", 2, (2, 2, 2), 7, 71), "weight length 3 does not match rank 2"),
+    (("B", 2, (2, 2), 9, 71), "ell=9 is not prime"),
     (("B", 2, (2, 2), 7, 0), "corrected dimension must be positive"),
+    (("B", 2, (1, 0), 7, 500),
+     "corrected dimension 500 exceeds the generic dimension 5 of B2 weight [1, 0]"),
     (("B", 2, (2, 2), 23, 71),
      "B2 weight [2, 2] has <lambda+rho, theta^vee> = 9 <= ell=23, so L = V there"),
     # At ell = 277, L(300) is L(23) (x) L(1)^[1], of dimension 48.
     (("A", 1, (300,), 277, 274),
      "A1 weight [300] is not restricted at ell=277: a coefficient is >= ell"),
-], ids=["family", "rank", "negative", "weight-length", "dim-zero", "bottom-alcove", "unrestricted"])
+], ids=["family", "rank", "negative", "weight-length", "ell-not-prime", "dim-zero",
+        "dim-above-generic", "bottom-alcove", "unrestricted"])
 def test_record_rejections_name_reason(args, message):
     family, rank, weight, ell, dim = args
     with pytest.raises(ValueError) as err:
