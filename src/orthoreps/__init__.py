@@ -36,10 +36,9 @@ from .steinberg import (
     Theorem1Evidence,
     classify_orthogonal,
     factorizations,
-    steinberg_products,
     theorem1_sweep,
     verify_theorem1,
 )
-from .weights import fs_indicator, is_self_dual, minus_w0, weyl_dimension
+from .weights import fs_indicator, weyl_dimension
 
 __version__ = "0.1.0"

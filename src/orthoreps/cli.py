@@ -105,8 +105,7 @@ def _weight_str(weight: tuple[int, ...]) -> str:
 
 def _tensor_label(tc) -> str:
     factors = " (x) ".join(f"{_weight_str(f.weight)}:{f.dim}" for f in tc.factors)
-    tag = f" [only at l={tc.non_generic_ell}]" if tc.non_generic_ell is not None else ""
-    return f"{tc.type_id}  {factors}{tag}"
+    return f"{tc.type_id}  {factors}"
 
 
 def _table_report(report) -> str:
@@ -229,6 +228,8 @@ _HANDLERS = {
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit status."""
+    # M is written in full: lift Python's int-to-str digit limit (>= 3.11), process-wide
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; ours is 1
@@ -239,6 +240,9 @@ def run(argv: list[str] | None = None) -> int:
         raise
     except (ValueError, OSError) as exc:
         print(f"orthoreps {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"orthoreps {args.command}: error: out of memory", file=sys.stderr)
         return 1
 
 

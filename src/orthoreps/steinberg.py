@@ -22,13 +22,12 @@ from typing import Callable, Container, Iterable, Sequence
 from .arith import is_prime
 from .irreps import (
     GENERIC_CHAR_FLOOR,
-    ExceptionRecord,
     IrrepCandidate,
     candidate_json,
     default_scan_types,
     enumerate_restricted,
 )
-from .root_data import LieType, build_root_datum
+from .root_data import LieType
 
 MODE_ORBIT = "class_s_orbit"
 MODE_ALL = "all_products"
@@ -62,7 +61,6 @@ class TensorCandidate:
     dim: int
     fs: int  # the product of the factors' indicators, so 0 iff a factor is not self-dual
     min_char: int
-    non_generic_ell: int | None = None
 
     @property
     def self_dual(self) -> bool:
@@ -103,8 +101,7 @@ class Theorem1Evidence:
     report: ClassificationReport
 
 
-def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate],
-            non_generic_ell: int | None = None) -> TensorCandidate:
+def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate]) -> TensorCandidate:
     factors = tuple(sorted(factors, key=lambda c: (-c.dim, c.weight)))
     return TensorCandidate(
         type_id=type_id,
@@ -112,7 +109,6 @@ def _tensor(type_id: LieType, factors: Sequence[IrrepCandidate],
         dim=prod(c.dim for c in factors),
         fs=prod(c.fs for c in factors),
         min_char=max(c.min_char for c in factors),
-        non_generic_ell=non_generic_ell,
     )
 
 
@@ -180,30 +176,13 @@ def _assemble(
     return products, events
 
 
-def _factors_by_dim(
-    type_id: LieType, n: int, exceptions: Sequence[ExceptionRecord]
-) -> dict[int, list[IrrepCandidate]]:
+def _factors_by_dim(type_id: LieType, n: int) -> dict[int, list[IrrepCandidate]]:
     """Nontrivial restricted modules of dimension <= n, grouped by dimension."""
     by_dim: dict[int, list[IrrepCandidate]] = {}
-    for c in enumerate_restricted(type_id, n, exceptions):
+    for c in enumerate_restricted(type_id, n):
         if any(c.weight):
             by_dim.setdefault(c.dim, []).append(c)
     return by_dim
-
-
-def steinberg_products(type_id: LieType, n: int, mode: str = MODE_ORBIT) -> list[TensorCandidate]:
-    """The generic tensor products of dimension n within one type.
-
-    Only classify_orthogonal reads exception records.
-    """
-    _check_mode(mode)
-    if n < 2:
-        raise ValueError(f"target dimension must be >= 2, got {n}")
-    by_dim = _factors_by_dim(type_id, n, ())
-    complete, _ = _split_missing(factorizations(n), by_dim)
-    products, _ = _assemble(type_id, complete, by_dim, mode)
-    products.sort(key=_product_sort_key)
-    return products
 
 
 def _product_sort_key(tc: TensorCandidate):
@@ -212,24 +191,6 @@ def _product_sort_key(tc: TensorCandidate):
         tuple(-f.dim for f in tc.factors),
         tuple(f.weight for f in tc.factors),
     )
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (MODE_ORBIT, MODE_ALL):
-        raise ValueError(f"mode must be {MODE_ORBIT!r} or {MODE_ALL!r}, got {mode!r}")
-
-
-def _exception_products(
-    type_id: LieType, n: int, exceptions: Sequence[ExceptionRecord]
-) -> list[TensorCandidate]:
-    """The type's exception records of dimension n, as products flagged with their ell."""
-    return [
-        _tensor(type_id, (IrrepCandidate.of(build_root_datum(type_id), rec.weight,
-                                            rec.corrected_dim, range(type_id.rank)),),
-                non_generic_ell=rec.ell)
-        for rec in exceptions
-        if rec.type_id == type_id and rec.corrected_dim == n
-    ]
 
 
 def _compress_ranks(ranks: list[int]) -> str:
@@ -245,31 +206,29 @@ def _compress_ranks(ranks: list[int]) -> str:
     return ",".join(f"{a}" if a == b else f"{a}..{b}" for a, b in runs)
 
 
-def classify_orthogonal(
-    n: int,
-    mode: str = MODE_ORBIT,
-    exceptions: Sequence[ExceptionRecord] = (),
-) -> ClassificationReport:
+def classify_orthogonal(n: int, mode: str = MODE_ORBIT) -> ClassificationReport:
     """Classify all orthogonal/symplectic tensor candidates of dimension n.
 
     The report holds in the generic regime ell > n, so its min_char is
     max(GENERIC_CHAR_FLOOR, n + 1), fixed by n: at some ell <= n a module
     whose generic dimension exceeds n can have dimension n, and the scan
-    never reaches it.  Above n every listed generic factor has
-    <lambda + rho, theta^vee> <= dim <= n (the lemma in ExceptionRecord), so
-    L = V at every ell >= min_char; a product from an exception record holds
-    at its record's ell.  The scan covers every type whose natural module
-    fits in dimension n, assembles tensor candidates per factorization of n,
-    drops non-self-dual products, and splits the rest by indicator.  Every
-    dropped branch is recorded in the exclusion notes.
+    never reaches it.  Above n every listed factor has
+    <lambda + rho, theta^vee> <= dim <= n < ell (the lemma in ExceptionRecord),
+    so lambda lies in the bottom alcove and L = V (RAGS II.5.6).  No exception
+    record is read: a type with a nontrivial module of dimension n has Coxeter
+    number h <= n, and at ell > n >= h a restricted L of dimension n < ell is
+    in the bottom alcove too (Jantzen 1997), so a true record of dimension n
+    has ell <= n, outside the report's regime.  The scan covers every type
+    whose natural module fits in dimension n, assembles tensor candidates per
+    factorization of n, drops non-self-dual products, and splits the rest by
+    indicator.  Every dropped branch is recorded in the exclusion notes.
     """
-    return _classify(n, mode, exceptions, lambda type_id: _factors_by_dim(type_id, n, exceptions))
+    return _classify(n, mode, lambda type_id: _factors_by_dim(type_id, n))
 
 
 def _classify(
     n: int,
     mode: str,
-    exceptions: Sequence[ExceptionRecord],
     factors_of: Callable[[LieType], dict[int, list[IrrepCandidate]]],
 ) -> ClassificationReport:
     """classify_orthogonal, with each type's `_factors_by_dim` table from factors_of.
@@ -280,7 +239,8 @@ def _classify(
     """
     if n < 2 or n % 2:
         raise ValueError(f"target dimension must be even and >= 2, got {n}")
-    _check_mode(mode)
+    if mode not in (MODE_ORBIT, MODE_ALL):
+        raise ValueError(f"mode must be {MODE_ORBIT!r} or {MODE_ALL!r}, got {mode!r}")
 
     facts = factorizations(n)
     divisors = {d for fact in facts for d in fact}
@@ -306,13 +266,11 @@ def _classify(
         products, events = _assemble(t, split(have)[0], by_dim, mode)
         for rule, fact, detail, count in events:
             tally((rule, t.family, fact, detail), (t.rank,), count)
-        for tc in products + _exception_products(t, n, exceptions):
+        for tc in products:
             if tc.self_dual:
                 (orthogonal if tc.fs == 1 else symplectic).append(tc)
                 continue
-            ell = tc.non_generic_ell
-            source = "e.g." if ell is None else f"exception record at ell={ell},"
-            detail = f"{source} weight {list(tc.factors[0].weight)}"
+            detail = f"e.g. weight {list(tc.factors[0].weight)}"
             tally(("non-self-dual", t.family, tuple(sorted(f.dim for f in tc.factors)), detail),
                   (t.rank,), 1)
     for (family, have), ranks in groups.items():
@@ -401,13 +359,13 @@ def theorem1_sweep(pis: Iterable[int] | None = None) -> list[Theorem1Evidence]:
     if not pis:
         return []
     bound = 4 * pis[-1]
-    factors_of = functools.cache(lambda type_id: _factors_by_dim(type_id, bound, ()))
-    return [_evidence(pi, _classify(4 * pi, MODE_ORBIT, (), factors_of))
+    factors_of = functools.cache(lambda type_id: _factors_by_dim(type_id, bound))
+    return [_evidence(pi, _classify(4 * pi, MODE_ORBIT, factors_of))
             for pi in pis]
 
 
 def tensor_json(tc: TensorCandidate) -> dict:
-    obj = {
+    return {
         "family": tc.type_id.family,
         "rank": tc.type_id.rank,
         "factors": [candidate_json(f) for f in tc.factors],
@@ -416,9 +374,6 @@ def tensor_json(tc: TensorCandidate) -> dict:
         "fs": tc.fs,
         "min_char": tc.min_char,
     }
-    if tc.non_generic_ell is not None:
-        obj["non_generic_ell"] = tc.non_generic_ell
-    return obj
 
 
 def report_json(report: ClassificationReport) -> dict:

@@ -10,8 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .root_data import (LieType, RootDatum, as_int, build_root_datum, coroot_columns,
-                        dim_from_pairings)
+from .root_data import LieType, RootDatum, as_int, coroot_columns, dim_from_pairings
 
 # Cap keeps the int64 pairing mat-vec exact; far above any realistic weight.
 _COEFF_LIMIT = 1 << 40
@@ -48,18 +47,6 @@ def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
     return dim_from_pairings(*coroot_pairings(datum.type_id, weight))
 
 
-def minus_w0(type_id: LieType, weight: Sequence[int]) -> Weight:
-    """Highest weight of the dual module: the diagram symmetry applied to lambda."""
-    w = as_weight(weight, type_id.rank)
-    return tuple(w[p] for p in build_root_datum(type_id).dynkin_symmetry)
-
-
-def is_self_dual(type_id: LieType, weight: Sequence[int]) -> bool:
-    """True iff -w0 fixes lambda: the indicator's rule, read on every column."""
-    w = as_weight(weight, type_id.rank)
-    return indicator(build_root_datum(type_id), w, range(type_id.rank)) != 0
-
-
 def indicator(datum: RootDatum, weight: Weight, cols: Sequence[int]) -> int:
     """Frobenius-Schur indicator: +1 orthogonal, -1 symplectic, 0 not self-dual.
 
@@ -83,8 +70,8 @@ def indicator(datum: RootDatum, weight: Weight, cols: Sequence[int]) -> int:
 def fs_indicator(datum: RootDatum, weight: Sequence[int]) -> int:
     """Frobenius-Schur indicator of a self-dual module: +1 orthogonal, -1 symplectic.
 
-    Callers must gate on is_self_dual first (the indicator-0 case is
-    rejected here); see indicator for the rule.
+    A module that is not self-dual (indicator 0) is rejected; see indicator
+    for the rule.
     """
     w = as_weight(weight, datum.type_id.rank)
     fs = indicator(datum, w, range(datum.type_id.rank))

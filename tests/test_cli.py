@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from orthoreps import cli
+from orthoreps.arith import BoundInputs, compute_M
 from orthoreps.cli import run
 from orthoreps.induced import TameParameters
 
@@ -372,6 +373,22 @@ class TestCliContract:
         with pytest.raises(TimeoutError, match="time limit"):
             run(["bound", "--n", "2", "--k", "1", "--cond", "1"])
         assert capsys.readouterr().err == ""
+
+    def test_memory_error_is_one_line(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "induce", exhausted)
+        code, out, err = invoke(capsys, "induce", "--p", "5", "--t", "3", "--n", "4")
+        assert (code, out) == (1, "")
+        assert err == "orthoreps induce: error: out of memory\n"
+
+    def test_m_above_the_int_string_limit(self, capsys):
+        # M has 4,306 digits here, above Python's default limit of 4,300.
+        code, out, err = invoke(capsys, "bound", "--n", "1554", "--k", "1", "--cond", "1")
+        assert (code, err) == (0, "")
+        M = compute_M(BoundInputs(n=1554, k=1, N=1))
+        assert json.loads(out)["M"] == str(M) and len(str(M)) == 4306
 
     # The regime of a report follows from n, and exception records are
     # built in Python: neither is a command-line input.

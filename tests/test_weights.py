@@ -20,8 +20,6 @@ from orthoreps.weights import (
     dim_from_pairings,
     fs_indicator,
     indicator,
-    is_self_dual,
-    minus_w0,
     weyl_dimension,
 )
 
@@ -33,6 +31,16 @@ TYPES = [
     LieType("D", 4), LieType("D", 5), LieType("G", 2), LieType("F", 4),
     LieType("E", 6), LieType("E", 7),
 ]
+
+
+def minus_w0(t, weight):
+    """Highest weight of the dual module: the diagram symmetry applied to the weight."""
+    return tuple(weight[p] for p in build_root_datum(t).dynkin_symmetry)
+
+
+def is_self_dual(t, weight):
+    """Whether -w0 fixes the weight, read by indicator on every column."""
+    return indicator(build_root_datum(t), tuple(weight), range(t.rank)) != 0
 
 
 def _w(rank, **at):
